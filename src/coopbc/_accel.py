@@ -1,45 +1,49 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels in numpy; the decoders run no Python loop per trial.
 
-Two code paths exist for every kernel.  The jitted path is the default; the
-vectorized numpy path is selected by setting the environment variable
-``COOPBC_NO_NUMBA`` to a truthy value (or automatically when numba is not
-installed).  Both paths accumulate floating sums symbol-by-symbol in the
-same order, so decode decisions (argmin/argmax with first-index ties) are
-bit-identical across paths.
+Every decoder works on a chunk of trials at a time and keeps the arithmetic of
+a per-trial loop: integer scores are exact, and floating scores are built from
+the same per-element operations, added symbol by symbol left to right.  Decode
+decisions (argmin/argmax with first-index ties) therefore do not depend on the
+chunk size, on the number of BLAS threads, or on how the caller splits trials.
 
 Kernels:
   * corner_scan      - per-joint mutual-information triples for the grid oracle
   * decode_map_int   - integer-penalty nearest codeword (erasure/flip channels)
   * decode_map_float - log-score nearest codeword over per-trial candidate sets
   * decode_sq        - squared-distance nearest codeword (Gaussian channels)
-  * decode_sq_restricted
+  * decode_sq_restricted - squared distance over per-trial candidate sets
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("COOPBC_NO_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
+# Bytes of score and scratch arrays one chunk of trials may hold.  Small
+# enough that a chunk stays in cache and adds little to peak memory; a trial
+# whose own scores exceed it is decoded alone.
+CHUNK_BYTES = 1 << 20
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by COOPBC_NO_NUMBA")
-    from numba import njit
+# Largest integer magnitude below which every float32 integer sum is exact.
+_F32_EXACT = 1 << 24
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# Codewords per GEMM block in decode_map_int: a chunk scores CHUNK_BYTES /
+# (4 * _CW_BLOCK) trials against one block at a time, so a large codebook is
+# read once per chunk rather than once per trial.
+_CW_BLOCK = 4096
 
-USING_NUMBA = HAVE_NUMBA and not _DISABLED
+
+def _chunks(trials: int, row_bytes: int):
+    """Consecutive slices of trials, each holding about CHUNK_BYTES of rows."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    for a in range(0, trials, step):
+        yield slice(a, min(a + step, trials))
 
 
 # ---------------------------------------------------------------------------
 # oracle corner scan
 # ---------------------------------------------------------------------------
 
-def corner_scan_numpy(p_u, t_combos, trans1, trans2):
+def corner_scan(p_u, t_combos, trans1, trans2):
     """Mutual-information triples for every conditional-row combination.
 
     Inputs: p_u is a fixed cloud law of length m; t_combos has shape (J, m)
@@ -55,7 +59,6 @@ def corner_scan_numpy(p_u, t_combos, trans1, trans2):
             return np.where(a > 0.0, a * np.log(a), 0.0)
 
     h_rows1 = -xlogx(trans1).sum(axis=1)  # per-input conditional output entropies
-    h_rows2 = -xlogx(trans2).sum(axis=1)
 
     # channel 1, conditioned on U
     py1_u = t[:, :, None] * trans1[0] + (1.0 - t)[:, :, None] * trans1[1]  # (J, m, y1)
@@ -78,281 +81,129 @@ def corner_scan_numpy(p_u, t_combos, trans1, trans2):
     return clip(i_x_y1_u), clip(i_u_y2), clip(i_x_y1)
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _corner_scan_nb(p_u, t_combos, trans1, trans2):
-        n_j, m = t_combos.shape
-        n_y1 = trans1.shape[1]
-        n_y2 = trans2.shape[1]
-        h_rows1 = np.zeros(2)
-        h_rows2 = np.zeros(2)
-        for x in range(2):
-            for y in range(n_y1):
-                v = trans1[x, y]
-                if v > 0.0:
-                    h_rows1[x] -= v * np.log(v)
-            for y in range(n_y2):
-                v = trans2[x, y]
-                if v > 0.0:
-                    h_rows2[x] -= v * np.log(v)
-        out_a = np.empty(n_j)
-        out_b = np.empty(n_j)
-        out_c = np.empty(n_j)
-        py2 = np.empty(n_y2)
-        for j in range(n_j):
-            i_x_y1_u = 0.0
-            h_y2_u = 0.0
-            px0 = 0.0
-            for y in range(n_y2):
-                py2[y] = 0.0
-            for u in range(m):
-                t = t_combos[j, u]
-                w = p_u[u]
-                px0 += w * t
-                if w == 0.0:
-                    continue
-                h_y1_u = 0.0
-                for y in range(n_y1):
-                    v = t * trans1[0, y] + (1.0 - t) * trans1[1, y]
-                    if v > 0.0:
-                        h_y1_u -= v * np.log(v)
-                i_x_y1_u += w * (h_y1_u - (t * h_rows1[0] + (1.0 - t) * h_rows1[1]))
-                for y in range(n_y2):
-                    v = t * trans2[0, y] + (1.0 - t) * trans2[1, y]
-                    py2[y] += w * v
-                    if v > 0.0:
-                        h_y2_u -= w * v * np.log(v)
-            h_y2 = 0.0
-            for y in range(n_y2):
-                if py2[y] > 0.0:
-                    h_y2 -= py2[y] * np.log(py2[y])
-            h_y1 = 0.0
-            for y in range(n_y1):
-                v = px0 * trans1[0, y] + (1.0 - px0) * trans1[1, y]
-                if v > 0.0:
-                    h_y1 -= v * np.log(v)
-            i_x_y1 = h_y1 - (px0 * h_rows1[0] + (1.0 - px0) * h_rows1[1])
-            a = i_x_y1_u
-            b = h_y2 - h_y2_u
-            out_a[j] = a if a > 0.0 else 0.0
-            out_b[j] = b if b > 0.0 else 0.0
-            out_c[j] = i_x_y1 if i_x_y1 > 0.0 else 0.0
-        return out_a, out_b, out_c
-
-    def corner_scan_numba(p_u, t_combos, trans1, trans2):
-        return _corner_scan_nb(
-            np.ascontiguousarray(p_u, dtype=np.float64),
-            np.ascontiguousarray(t_combos, dtype=np.float64),
-            np.ascontiguousarray(trans1, dtype=np.float64),
-            np.ascontiguousarray(trans2, dtype=np.float64),
-        )
-
-else:
-    corner_scan_numba = None
-
-corner_scan = corner_scan_numba if USING_NUMBA else corner_scan_numpy
-
-
 # ---------------------------------------------------------------------------
-# codeword decoding
+# codeword decoding over the whole codebook
 # ---------------------------------------------------------------------------
 
-def decode_map_int_numpy(codebook, penalty, ys):
+def decode_map_int(codebook, penalty, ys):
     """Index of the first minimum-penalty codeword for each received word.
 
-    codebook: (M, n) small ints; penalty: (n_x, n_y) int64 per-symbol costs;
-    ys: (T, n) small ints.  Scores accumulate over symbols left to right.
+    codebook: (M, n) ints in [0, n_x); penalty: (n_x, n_y) integer per-symbol
+    costs; ys: (T, n) ints in [0, n_y).  The score of codeword c is
+    sum_i penalty[c_i, y_i] = sum_i penalty[0, y_i] + onehot(c) . dP(y), with
+    dP[x, y] = penalty[x, y] - penalty[0, y] for x >= 1.  The first term is the
+    same for every codeword and is dropped; the second is a float32 GEMM per
+    chunk of trials and block of codewords.  Every product is an integer and
+    every partial sum is at most n * max|dP| in magnitude, so while that bound
+    is at most 2**24 the GEMM is exact in any summation order and any number
+    of BLAS threads.  Blocks merge by a strict "lower than", so the argmin
+    (first index on ties) equals that of the integer sums.
     """
-    n = codebook.shape[1]
+    penalty = np.asarray(penalty, dtype=np.int64)
+    n_cw, n = codebook.shape
+    n_x = penalty.shape[0]
+    delta = penalty[1:] - penalty[0]  # (n_x - 1, n_y)
+    if n * int(np.abs(delta).max(initial=0)) > _F32_EXACT:
+        raise ValueError(
+            f"penalty sums over {n} symbols may exceed 2**24; float32 scores would round"
+        )
+    # onehot[i, x-1, c] = (codebook[c, i] == x), flattened to (n*(n_x-1), M)
+    levels = np.arange(1, n_x).reshape(1, -1, 1)
+    onehot = (codebook.T[:, None, :] == levels).astype(np.float32).reshape(-1, n_cw)
+    # weights[t, i, x-1] = dP[x, y_ti], flattened to (T, n*(n_x-1))
+    weights = delta.T.astype(np.float32)[ys].reshape(ys.shape[0], -1)
     out = np.empty(ys.shape[0], dtype=np.int64)
-    for t in range(ys.shape[0]):
-        acc = np.zeros(codebook.shape[0], dtype=np.int64)
-        y = ys[t]
-        for i in range(n):
-            acc += penalty[codebook[:, i], y[i]]
-        out[t] = np.argmin(acc)
+    block = min(n_cw, _CW_BLOCK)
+    for sl in _chunks(ys.shape[0], 4 * block):
+        w, pick = weights[sl], out[sl]
+        best = np.full(w.shape[0], np.inf, dtype=np.float32)
+        for b in range(0, n_cw, block):
+            scores = w @ onehot[:, b : b + block]
+            j = np.argmin(scores, axis=1)
+            low = np.take_along_axis(scores, j[:, None], axis=1)[:, 0]
+            better = low < best
+            best[better] = low[better]
+            pick[better] = j[better] + b
     return out
 
 
-def decode_map_float_numpy(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
+def decode_sq(codebook, scale, ys):
+    """First-minimum squared-distance codeword per trial: sum_i (y_i - scale*c_i)^2.
+
+    Each element is formed as d = y_i - scale*c_i, then acc += d*d, symbol by
+    symbol, exactly as a per-trial loop would; no expansion of |y - c|^2.
+    """
+    scaled = np.ascontiguousarray((scale * codebook).T)  # (n, M)
+    n, n_cw = scaled.shape
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for sl in _chunks(ys.shape[0], 16 * n_cw):
+        y = ys[sl]
+        acc = np.zeros((y.shape[0], n_cw))
+        d = np.empty_like(acc)
+        for i in range(n):
+            np.subtract(y[:, i, None], scaled[i], out=d)
+            np.multiply(d, d, out=d)
+            acc += d
+        out[sl] = np.argmin(acc, axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# codeword decoding over per-trial candidate sets
+# ---------------------------------------------------------------------------
+
+def _restricted(codebook, ys, cand_flat, cand_start, cand_count, cand_of, score, pad):
+    """Shared driver for the restricted decoders.
+
+    Each chunk gathers its trials' candidates as a (T, K) block, K the
+    largest bin among them; padding repeats the bin's first member and sits
+    after the valid entries.  ``score(acc, column, y)`` adds symbol i's
+    scores for candidate symbols ``column`` (T, K) and received symbols ``y``
+    (T, 1) into acc in place.  Padding then gets ``pad``, the worst score
+    (-inf: pick the argmax, +inf: the argmin), so first-index ties fall on
+    the same candidate as a loop over the valid entries.
+    """
+    columns = np.ascontiguousarray(codebook.T)  # (n, nu2)
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    k_max = int(cand_count[cand_of].max(initial=1))
+    for sl in _chunks(ys.shape[0], 32 * k_max):
+        counts = cand_count[cand_of[sl]]
+        k = np.arange(int(counts.max()))
+        valid = k < counts[:, None]
+        starts = cand_start[cand_of[sl]][:, None]
+        cands = cand_flat[np.where(valid, starts + k, starts)]
+        y = ys[sl]
+        acc = np.zeros(cands.shape)
+        for i in range(columns.shape[0]):
+            score(acc, columns[i][cands], y[:, i, None])
+        acc[~valid] = pad
+        pick = np.argmax(acc, axis=1) if pad < 0 else np.argmin(acc, axis=1)
+        out[sl] = cands[np.arange(cands.shape[0]), pick]
+    return out
+
+
+def decode_map_float(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
     """First-maximum log-score candidate per trial, over restricted candidate sets.
 
     Candidate lists are stored flattened: trial t searches
     cand_flat[cand_start[b] : cand_start[b] + cand_count[b]] for b = cand_of[t].
+    Scores add logscore[c_i, y_i] symbol by symbol; -inf entries are allowed.
     Returns the chosen codeword index (a value from cand_flat) per trial.
     """
-    n = codebook.shape[1]
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    for t in range(ys.shape[0]):
-        b = cand_of[t]
-        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
-        acc = np.zeros(cands.shape[0], dtype=np.float64)
-        y = ys[t]
-        sub = codebook[cands]
-        for i in range(n):
-            acc += logscore[sub[:, i], y[i]]
-        out[t] = cands[np.argmax(acc)]
-    return out
+    def score(acc, column, y):
+        acc += logscore[column, y]
+
+    return _restricted(codebook, ys, cand_flat, cand_start, cand_count, cand_of, score, -np.inf)
 
 
-def decode_sq_numpy(codebook, scale, ys):
-    """First-minimum squared-distance codeword per trial: sum (y - scale*c)^2."""
-    n = codebook.shape[1]
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    for t in range(ys.shape[0]):
-        acc = np.zeros(codebook.shape[0], dtype=np.float64)
-        y = ys[t]
-        for i in range(n):
-            d = y[i] - scale * codebook[:, i]
-            acc += d * d
-        out[t] = np.argmin(acc)
-    return out
+def decode_sq_restricted(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
+    """First-minimum squared-distance candidate per trial, over restricted sets.
 
+    Candidates are stored as for decode_map_float; each element is formed as
+    d = y_i - scale*c_i, then acc += d*d, symbol by symbol.
+    """
+    def score(acc, column, y):
+        d = y - scale * column
+        acc += d * d
 
-def decode_sq_restricted_numpy(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
-    n = codebook.shape[1]
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    for t in range(ys.shape[0]):
-        b = cand_of[t]
-        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
-        acc = np.zeros(cands.shape[0], dtype=np.float64)
-        y = ys[t]
-        sub = codebook[cands]
-        for i in range(n):
-            d = y[i] - scale * sub[:, i]
-            acc += d * d
-        out[t] = cands[np.argmin(acc)]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _decode_map_int_nb(codebook, penalty, ys):
-        n_trials, n = ys.shape
-        n_cw = codebook.shape[0]
-        out = np.empty(n_trials, dtype=np.int64)
-        for t in range(n_trials):
-            best = np.int64(0)
-            best_score = np.int64(2**62)
-            for c in range(n_cw):
-                s = np.int64(0)
-                for i in range(n):
-                    s += penalty[codebook[c, i], ys[t, i]]
-                if s < best_score:
-                    best_score = s
-                    best = c
-            out[t] = best
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _decode_map_float_nb(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
-        n_trials, n = ys.shape
-        out = np.empty(n_trials, dtype=np.int64)
-        for t in range(n_trials):
-            b = cand_of[t]
-            best = cand_flat[cand_start[b]]
-            best_score = -np.inf
-            for k in range(cand_count[b]):
-                c = cand_flat[cand_start[b] + k]
-                s = 0.0
-                for i in range(n):
-                    s += logscore[codebook[c, i], ys[t, i]]
-                if s > best_score:
-                    best_score = s
-                    best = c
-            out[t] = best
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _decode_sq_nb(codebook, scale, ys):
-        n_trials, n = ys.shape
-        n_cw = codebook.shape[0]
-        out = np.empty(n_trials, dtype=np.int64)
-        for t in range(n_trials):
-            best = np.int64(0)
-            best_score = np.inf
-            for c in range(n_cw):
-                s = 0.0
-                for i in range(n):
-                    d = ys[t, i] - scale * codebook[c, i]
-                    s += d * d
-                if s < best_score:
-                    best_score = s
-                    best = c
-            out[t] = best
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _decode_sq_restricted_nb(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
-        n_trials, n = ys.shape
-        out = np.empty(n_trials, dtype=np.int64)
-        for t in range(n_trials):
-            b = cand_of[t]
-            best = cand_flat[cand_start[b]]
-            best_score = np.inf
-            for k in range(cand_count[b]):
-                c = cand_flat[cand_start[b] + k]
-                s = 0.0
-                for i in range(n):
-                    d = ys[t, i] - scale * codebook[c, i]
-                    s += d * d
-                if s < best_score:
-                    best_score = s
-                    best = c
-            out[t] = best
-        return out
-
-    def decode_map_int_numba(codebook, penalty, ys):
-        return _decode_map_int_nb(
-            np.ascontiguousarray(codebook, dtype=np.int8),
-            np.ascontiguousarray(penalty, dtype=np.int64),
-            np.ascontiguousarray(ys, dtype=np.int8),
-        )
-
-    def decode_map_float_numba(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
-        return _decode_map_float_nb(
-            np.ascontiguousarray(codebook, dtype=np.int8),
-            np.ascontiguousarray(logscore, dtype=np.float64),
-            np.ascontiguousarray(ys, dtype=np.int8),
-            np.ascontiguousarray(cand_flat, dtype=np.int64),
-            np.ascontiguousarray(cand_start, dtype=np.int64),
-            np.ascontiguousarray(cand_count, dtype=np.int64),
-            np.ascontiguousarray(cand_of, dtype=np.int64),
-        )
-
-    def decode_sq_numba(codebook, scale, ys):
-        return _decode_sq_nb(
-            np.ascontiguousarray(codebook, dtype=np.float64),
-            float(scale),
-            np.ascontiguousarray(ys, dtype=np.float64),
-        )
-
-    def decode_sq_restricted_numba(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
-        return _decode_sq_restricted_nb(
-            np.ascontiguousarray(codebook, dtype=np.float64),
-            float(scale),
-            np.ascontiguousarray(ys, dtype=np.float64),
-            np.ascontiguousarray(cand_flat, dtype=np.int64),
-            np.ascontiguousarray(cand_start, dtype=np.int64),
-            np.ascontiguousarray(cand_count, dtype=np.int64),
-            np.ascontiguousarray(cand_of, dtype=np.int64),
-        )
-
-else:
-    decode_map_int_numba = None
-    decode_map_float_numba = None
-    decode_sq_numba = None
-    decode_sq_restricted_numba = None
-
-if USING_NUMBA:
-    decode_map_int = decode_map_int_numba
-    decode_map_float = decode_map_float_numba
-    decode_sq = decode_sq_numba
-    decode_sq_restricted = decode_sq_restricted_numba
-else:
-    decode_map_int = decode_map_int_numpy
-    decode_map_float = decode_map_float_numpy
-    decode_sq = decode_sq_numpy
-    decode_sq_restricted = decode_sq_restricted_numpy
+    return _restricted(codebook, ys, cand_flat, cand_start, cand_count, cand_of, score, np.inf)

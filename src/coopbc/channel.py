@@ -301,6 +301,8 @@ def is_more_capable(
     derivative-free local search.  Larger alphabets use a simplex lattice
     (100 points per dimension) plus 10^5 seeded Dirichlet samples.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     n_x = pair.input_size
     t1, t2 = pair.ch1.transitions, pair.ch2.transitions
     if n_x == 2:

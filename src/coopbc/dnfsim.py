@@ -83,12 +83,25 @@ class CodeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"blocklength must be >= 1, got {self.n}")
+        if not all(math.isfinite(r) for r in (self.r1, self.r2, self.c12)):
+            raise ValueError("rates must be finite")
         if self.r1 < 0 or self.r2 < 0 or self.c12 < 0:
             raise ValueError("rates must be nonnegative")
         if (self.input_law is None) == (self.power_split is None):
             raise ValueError("set exactly one of input_law or power_split")
         if self.power_split is not None and not 0.0 <= self.power_split <= 1.0:
             raise ValueError(f"power split must lie in [0, 1], got {self.power_split}")
+        if self.codeword_budget < 1:
+            raise ValueError(f"codeword budget must be >= 1, got {self.codeword_budget}")
+        # nu1*nu2 >= 2**(n*(r1+r2)): compare exponents first so that oversize
+        # codes never evaluate a power that overflows a float; the slack only
+        # absorbs rounding in n*(r1+r2), the exact count is checked after it
+        log2_size = self.n * (self.r1 + self.r2)
+        if log2_size > math.log2(self.codeword_budget) + 1e-9:
+            raise BudgetExceededError(
+                f"codebook of 2**{log2_size:.6g} codewords exceeds the budget "
+                f"of {self.codeword_budget}"
+            )
         if self.nu1 * self.nu2 > self.codeword_budget:
             raise BudgetExceededError(
                 f"codebook of {self.nu1}*{self.nu2} codewords exceeds the budget "

@@ -1,0 +1,318 @@
+"""Batched decoders against per-trial reference loops.
+
+The references score one trial at a time, adding symbol by symbol, and take
+numpy's first-index argmin/argmax.  The batched kernels must return exactly
+the same indices, ties included, for any chunk size.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from coopbc import _accel
+from coopbc.dnfsim import _bin_members
+
+
+def ref_decode_map_int(codebook, penalty, ys):
+    n = codebook.shape[1]
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for t in range(ys.shape[0]):
+        acc = np.zeros(codebook.shape[0], dtype=np.int64)
+        y = ys[t]
+        for i in range(n):
+            acc += penalty[codebook[:, i], y[i]]
+        out[t] = np.argmin(acc)
+    return out
+
+
+def ref_decode_map_float(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
+    n = codebook.shape[1]
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for t in range(ys.shape[0]):
+        b = cand_of[t]
+        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
+        acc = np.zeros(cands.shape[0], dtype=np.float64)
+        y = ys[t]
+        sub = codebook[cands]
+        for i in range(n):
+            acc += logscore[sub[:, i], y[i]]
+        out[t] = cands[np.argmax(acc)]
+    return out
+
+
+def ref_decode_sq(codebook, scale, ys):
+    n = codebook.shape[1]
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for t in range(ys.shape[0]):
+        acc = np.zeros(codebook.shape[0], dtype=np.float64)
+        y = ys[t]
+        for i in range(n):
+            d = y[i] - scale * codebook[:, i]
+            acc += d * d
+        out[t] = np.argmin(acc)
+    return out
+
+
+def ref_decode_sq_restricted(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
+    n = codebook.shape[1]
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for t in range(ys.shape[0]):
+        b = cand_of[t]
+        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
+        acc = np.zeros(cands.shape[0], dtype=np.float64)
+        y = ys[t]
+        sub = codebook[cands]
+        for i in range(n):
+            d = y[i] - scale * sub[:, i]
+            acc += d * d
+        out[t] = cands[np.argmin(acc)]
+    return out
+
+
+BEC_PENALTY = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.int64)
+
+# (chunk budget, codeword block): one trial per chunk against blocks of 7
+# codewords, a few trials per chunk against blocks of 64, the defaults
+CHUNKINGS = ((1, 7), (4096, 64), (_accel.CHUNK_BYTES, _accel._CW_BLOCK))
+
+
+@pytest.fixture(params=CHUNKINGS, ids=lambda c: f"chunk{c[0]}-block{c[1]}")
+def chunking(request, monkeypatch):
+    monkeypatch.setattr(_accel, "CHUNK_BYTES", request.param[0])
+    monkeypatch.setattr(_accel, "_CW_BLOCK", request.param[1])
+    return request.param
+
+
+def binary_book(rng, m, n):
+    book = rng.integers(0, 2, size=(m, n)).astype(np.int8)
+    book[m // 2] = book[1]  # a duplicate codeword forces exact ties
+    return book
+
+
+def bec_outputs(rng, book, trials, erase=0.4):
+    sent = book[rng.integers(book.shape[0], size=trials)]
+    flips = rng.random(sent.shape) < 0.1
+    y = np.where(flips, 1 - sent, sent)
+    return np.where(rng.random(sent.shape) < erase, 2, y).astype(np.int8)
+
+
+def permutation_book(seed, n=7):
+    """Every ordering of n random values: the score terms of one trial are
+    the same multiset for every codeword, so only the rounding of the
+    left-to-right sum separates them."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    return np.array(list(itertools.permutations(v)))
+
+
+def bins_for(m, bin_size, n_bins):
+    bins = (np.arange(m) // bin_size).astype(np.int64)
+    return bins, _bin_members(bins, n_bins)
+
+
+class TestDecodeMapInt:
+    @pytest.mark.parametrize("trials", [1, 37, 300])
+    def test_random_books(self, chunking, trials):
+        rng = np.random.default_rng(trials)
+        book = binary_book(rng, 200, 12)
+        ys = bec_outputs(rng, book, trials)
+        np.testing.assert_array_equal(
+            _accel.decode_map_int(book, BEC_PENALTY, ys), ref_decode_map_int(book, BEC_PENALTY, ys)
+        )
+
+    def test_general_integer_penalty(self, chunking):
+        rng = np.random.default_rng(3)
+        penalty = rng.integers(-3, 5, size=(3, 4))
+        book = rng.integers(0, 3, size=(150, 9)).astype(np.int8)
+        ys = rng.integers(0, 4, size=(64, 9)).astype(np.int8)
+        np.testing.assert_array_equal(
+            _accel.decode_map_int(book, penalty, ys), ref_decode_map_int(book, penalty, ys)
+        )
+
+    def test_all_erased_picks_index_zero(self, chunking):
+        rng = np.random.default_rng(5)
+        book = binary_book(rng, 64, 10)
+        ys = np.full((25, 10), 2, dtype=np.int8)
+        got = _accel.decode_map_int(book, BEC_PENALTY, ys)
+        np.testing.assert_array_equal(got, np.zeros(25, dtype=np.int64))
+        np.testing.assert_array_equal(got, ref_decode_map_int(book, BEC_PENALTY, ys))
+
+    def test_crosses_default_chunk_and_block_boundaries(self):
+        rng = np.random.default_rng(6)
+        block = _accel._CW_BLOCK
+        book = binary_book(rng, 2 * block + 5, 16)
+        book[block + 3] = book[10]  # ties across codeword blocks keep the first
+        book[2 * block + 1] = book[block + 7]
+        step = _accel.CHUNK_BYTES // (4 * block)
+        ys = bec_outputs(rng, book, 2 * step + 3, erase=0.2)
+        ys[:2] = book[[10, block + 7]]
+        got = _accel.decode_map_int(book, BEC_PENALTY, ys)
+        np.testing.assert_array_equal(got[:2], [10, block + 7])
+        np.testing.assert_array_equal(got, ref_decode_map_int(book, BEC_PENALTY, ys))
+
+    def test_rejects_sums_beyond_float32_exactness(self):
+        penalty = np.array([[0, 1 << 22], [1 << 22, 0]], dtype=np.int64)
+        book = np.zeros((2, 8), dtype=np.int8)
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            _accel.decode_map_int(book, penalty, np.zeros((1, 8), dtype=np.int8))
+
+
+class TestDecodeSq:
+    @pytest.mark.parametrize("trials", [1, 37, 300])
+    def test_random_books(self, chunking, trials):
+        rng = np.random.default_rng(trials)
+        book = rng.standard_normal((120, 12))
+        book[60] = book[3]
+        ys = 2.2 * book[rng.integers(120, size=trials)] + rng.standard_normal((trials, 12))
+        np.testing.assert_array_equal(
+            _accel.decode_sq(book, 2.2, ys), ref_decode_sq(book, 2.2, ys)
+        )
+
+    def test_exact_ties_pick_first_index(self, chunking):
+        book = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+        ys = np.array([[0.0, 0.0], [0.7, -0.7], [-0.7, 0.7]])
+        got = _accel.decode_sq(book, 1.3, ys)
+        np.testing.assert_array_equal(got, [0, 0, 1])
+        np.testing.assert_array_equal(got, ref_decode_sq(book, 1.3, ys))
+
+    def test_rounding_of_the_symbol_order_decides(self, chunking):
+        book = permutation_book(4)
+        ys = np.outer(np.random.default_rng(4).standard_normal(20), np.ones(7))
+        got = _accel.decode_sq(book, 1.7, ys)
+        np.testing.assert_array_equal(got, ref_decode_sq(book, 1.7, ys))
+        assert np.any(got != ref_decode_sq(book[:, ::-1], 1.7, ys))
+
+    def test_crosses_default_chunk_boundary(self):
+        rng = np.random.default_rng(8)
+        book = rng.standard_normal((2048, 6))
+        step = _accel.CHUNK_BYTES // (16 * book.shape[0])
+        ys = book[rng.integers(2048, size=2 * step + 1)] + 0.5 * rng.standard_normal((2 * step + 1, 6))
+        np.testing.assert_array_equal(
+            _accel.decode_sq(book, 1.0, ys), ref_decode_sq(book, 1.0, ys)
+        )
+
+
+class TestDecodeMapFloat:
+    @pytest.mark.parametrize("trials", [1, 37, 300])
+    def test_random_books(self, chunking, trials):
+        rng = np.random.default_rng(trials)
+        clouds = binary_book(rng, 96, 10)
+        logscore = np.log(np.array([[0.8, 0.2], [0.3, 0.7]]))
+        bins, cands = bins_for(96, 7, 14)  # the last bin holds 5, not 7
+        ys = rng.integers(0, 2, size=(trials, 10)).astype(np.int8)
+        cand_of = bins[rng.integers(96, size=trials)]
+        np.testing.assert_array_equal(
+            _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of),
+            ref_decode_map_float(clouds, logscore, ys, *cands, cand_of),
+        )
+
+    def test_minus_inf_scores(self, chunking):
+        # a zero crossover gives log 0 = -inf; rows that are all -inf pick the bin's first member
+        rng = np.random.default_rng(11)
+        clouds = binary_book(rng, 64, 8)
+        with np.errstate(divide="ignore"):
+            logscore = np.log(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        bins, cands = bins_for(64, 8, 8)
+        ys = rng.integers(0, 2, size=(80, 8)).astype(np.int8)
+        ys[::3] = clouds[rng.integers(64, size=ys[::3].shape[0])]
+        cand_of = bins[rng.integers(64, size=80)]
+        got = _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of)
+        np.testing.assert_array_equal(
+            got, ref_decode_map_float(clouds, logscore, ys, *cands, cand_of)
+        )
+        assert np.any(got == cands[0][cands[1][cand_of]])
+
+    def test_rounding_of_the_symbol_order_decides(self, chunking):
+        # all weight-5 words of length 12 score the same multiset of terms
+        # against a constant received word; the sum's rounding picks the winner
+        words = [w for w in itertools.product((0, 1), repeat=12) if sum(w) == 5]
+        clouds = np.array(words, dtype=np.int8)
+        logscore = np.log(np.array([[0.61, 0.39], [0.13, 0.87]]))
+        bins, cands = bins_for(clouds.shape[0], 67, 12)
+        ys = np.repeat(np.array([[0] * 12, [1] * 12], dtype=np.int8), 12, axis=0)
+        cand_of = np.tile(np.arange(12), 2)
+        got = _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of)
+        np.testing.assert_array_equal(
+            got, ref_decode_map_float(clouds, logscore, ys, *cands, cand_of)
+        )
+        flipped = ref_decode_map_float(clouds[:, ::-1], logscore, ys, *cands, cand_of)
+        assert np.any(got != flipped)
+
+    def test_unused_bins(self, chunking):
+        # ten bins offered, nine in use: the tenth is empty and never searched
+        rng = np.random.default_rng(12)
+        clouds = binary_book(rng, 27, 12)
+        logscore = np.log(np.array([[0.75, 0.25], [0.25, 0.75]]))
+        bins, cands = bins_for(27, 3, 10)
+        assert cands[2][9] == 0
+        ys = rng.integers(0, 2, size=(50, 12)).astype(np.int8)
+        cand_of = bins[rng.integers(27, size=50)]
+        np.testing.assert_array_equal(
+            _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of),
+            ref_decode_map_float(clouds, logscore, ys, *cands, cand_of),
+        )
+
+    def test_crosses_default_chunk_boundary(self):
+        rng = np.random.default_rng(13)
+        clouds = binary_book(rng, 4096, 6)
+        logscore = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        bins, cands = bins_for(4096, 1024, 4)
+        step = _accel.CHUNK_BYTES // (32 * 1024)
+        trials = 2 * step + 5
+        ys = rng.integers(0, 2, size=(trials, 6)).astype(np.int8)
+        cand_of = bins[rng.integers(4096, size=trials)]
+        np.testing.assert_array_equal(
+            _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of),
+            ref_decode_map_float(clouds, logscore, ys, *cands, cand_of),
+        )
+
+
+class TestDecodeSqRestricted:
+    @pytest.mark.parametrize("trials", [1, 37, 300])
+    def test_random_books(self, chunking, trials):
+        rng = np.random.default_rng(trials)
+        clouds = rng.standard_normal((90, 10))
+        clouds[50] = clouds[48]
+        bins, cands = bins_for(90, 4, 23)
+        ys = 0.7 * clouds[rng.integers(90, size=trials)] + rng.standard_normal((trials, 10))
+        cand_of = bins[rng.integers(90, size=trials)]
+        np.testing.assert_array_equal(
+            _accel.decode_sq_restricted(clouds, 0.7, ys, *cands, cand_of),
+            ref_decode_sq_restricted(clouds, 0.7, ys, *cands, cand_of),
+        )
+
+    def test_rounding_of_the_symbol_order_decides(self, chunking):
+        book = permutation_book(5)
+        bins, cands = bins_for(book.shape[0], 700, 8)
+        rng = np.random.default_rng(5)
+        ys = np.outer(rng.standard_normal(30), np.ones(7))
+        cand_of = bins[rng.integers(book.shape[0], size=30)]
+        got = _accel.decode_sq_restricted(book, 0.9, ys, *cands, cand_of)
+        np.testing.assert_array_equal(
+            got, ref_decode_sq_restricted(book, 0.9, ys, *cands, cand_of)
+        )
+        assert np.any(got != ref_decode_sq_restricted(book[:, ::-1], 0.9, ys, *cands, cand_of))
+
+    def test_unused_bins(self, chunking):
+        rng = np.random.default_rng(21)
+        clouds = rng.standard_normal((27, 8))
+        bins, cands = bins_for(27, 3, 10)
+        ys = rng.standard_normal((40, 8))
+        cand_of = bins[rng.integers(27, size=40)]
+        np.testing.assert_array_equal(
+            _accel.decode_sq_restricted(clouds, 1.1, ys, *cands, cand_of),
+            ref_decode_sq_restricted(clouds, 1.1, ys, *cands, cand_of),
+        )
+
+    def test_crosses_default_chunk_boundary(self):
+        rng = np.random.default_rng(22)
+        clouds = rng.standard_normal((2048, 5))
+        bins, cands = bins_for(2048, 512, 4)
+        step = _accel.CHUNK_BYTES // (32 * 512)
+        trials = 2 * step + 7
+        ys = rng.standard_normal((trials, 5))
+        cand_of = bins[rng.integers(2048, size=trials)]
+        np.testing.assert_array_equal(
+            _accel.decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of),
+            ref_decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of),
+        )

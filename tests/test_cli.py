@@ -94,6 +94,11 @@ class TestCheckMc:
     def test_bad_params(self):
         assert run(["check-mc", "becbsc", "zero", "och"]) == 2
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_rejected(self, resolution, capsys):
+        assert run(["check-mc", "becbsc", 0.1, 0.2, "--resolution", resolution]) == 2
+        assert "resolution" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_gaussian_endpoints(self, tmp_path):
@@ -183,6 +188,15 @@ class TestSimulate:
                     "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2,
                     "--trials", 50, "--power-split", 0.5, "--out", tmp_path])
         assert code == 0
+
+    @pytest.mark.parametrize("rates", [("0.6", "0.1"), ("inf", "0.1"), ("0.1", "nan")])
+    def test_oversize_or_non_finite_rates_exit_2(self, tmp_path, capsys, rates):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                    "--n", 2000, "--r1", rates[0], "--r2", rates[1], "--c12", 0.1,
+                    "--trials", 10, "--input-law", law, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_becbsc_needs_law(self, tmp_path):
         code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,

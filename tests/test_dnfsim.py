@@ -29,6 +29,25 @@ class TestCodeConfig:
         with pytest.raises(BudgetExceededError):
             CodeConfig(n=40, r1=0.5, r2=0.5, c12=0.0, seed=0, input_law=UNIFORM_LAW)
 
+    def test_oversize_code_is_over_budget_not_overflow(self):
+        # 2**(2000*0.6) overflows a float; the exponent check fires first
+        with pytest.raises(BudgetExceededError):
+            CodeConfig(n=2000, r1=0.6, r2=0.1, c12=0.0, seed=0, input_law=UNIFORM_LAW)
+
+    def test_budget_edge_still_accepted(self):
+        # n*(r1+r2) rounds to just above log2(budget); the exact count decides
+        cfg = CodeConfig(n=10, r1=0.1, r2=0.2, c12=0.0, seed=0, input_law=UNIFORM_LAW,
+                         codeword_budget=8)
+        assert cfg.nu1 * cfg.nu2 == 8
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "c12"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rates_rejected(self, field, value):
+        rates = dict(r1=0.1, r2=0.1, c12=0.1)
+        rates[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            CodeConfig(n=8, seed=0, input_law=UNIFORM_LAW, **rates)
+
     def test_exactly_one_law(self):
         with pytest.raises(ValueError):
             CodeConfig(n=4, r1=0.1, r2=0.1, c12=0.0, seed=0)

@@ -77,22 +77,10 @@ class TestRestrictionWitness:
         ln2 = np.log(2.0)
         for q in np.linspace(0.0, 0.5, 100):
             t_combo = np.array([[1.0 - q, q]])
-            a, b, c = _accel.corner_scan_numpy(p_u, t_combo, t1, t2)
+            a, b, c = _accel.corner_scan(p_u, t_combo, t1, t2)
             assert a[0] / ln2 == pytest.approx(fam.f1(q), abs=1e-12)
             assert b[0] / ln2 + 0.2 == pytest.approx(fam.f2(q), abs=1e-12)
             assert c[0] / ln2 == pytest.approx(0.9, abs=1e-12)
-
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_and_numpy_paths_agree(self):
-        rng = np.random.default_rng(51)
-        p_u = rng.dirichlet(np.ones(2))
-        t_combos = rng.uniform(0.0, 1.0, size=(64, 2))
-        t1, t2 = PAIR.ch1.transitions, PAIR.ch2.transitions
-        for got, want in zip(
-            _accel.corner_scan_numba(p_u, t_combos, t1, t2),
-            _accel.corner_scan_numpy(p_u, t_combos, t1, t2),
-        ):
-            np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 class TestAgainstParametric:
