@@ -24,7 +24,7 @@ from .numerics import (
     gaussian_cap,
     gaussian_cap_inv,
 )
-from .oracle import GridSpec, frontier_deviation, oracle_both, oracle_inner, oracle_outer
+from .oracle import GridSpec, frontier_deviation, oracle_both
 from .regions import (
     ParametricFamily,
     RatePair,

@@ -1,4 +1,4 @@
-"""Hot numeric kernels in numpy; the decoders run no Python loop per trial.
+"""The simulator's ML decoders in numpy; none runs a Python loop per trial.
 
 Every decoder works on a chunk of trials at a time and keeps the arithmetic of
 a per-trial loop: integer scores are exact, and floating scores are built from
@@ -7,7 +7,6 @@ decisions (argmin/argmax with first-index ties) therefore do not depend on the
 chunk size, on the number of BLAS threads, or on how the caller splits trials.
 
 Kernels:
-  * corner_scan      - per-joint mutual-information triples for the grid oracle
   * decode_map_int   - integer-penalty nearest codeword (erasure/flip channels)
   * decode_map_float - log-score nearest codeword over per-trial candidate sets
   * decode_sq        - squared-distance nearest codeword (Gaussian channels)
@@ -37,48 +36,6 @@ def _chunks(trials: int, row_bytes: int):
     step = max(1, CHUNK_BYTES // row_bytes)
     for a in range(0, trials, step):
         yield slice(a, min(a + step, trials))
-
-
-# ---------------------------------------------------------------------------
-# oracle corner scan
-# ---------------------------------------------------------------------------
-
-def corner_scan(p_u, t_combos, trans1, trans2):
-    """Mutual-information triples for every conditional-row combination.
-
-    Inputs: p_u is a fixed cloud law of length m; t_combos has shape (J, m)
-    with t_combos[j, u] = P(X=0 | U=u) for binary X; trans1/trans2 are the
-    (2, n_y) channel matrices.  Returns three length-J arrays in nats:
-    I(X;Y1|U), I(U;Y2), I(X;Y1).
-    """
-    t = np.asarray(t_combos, dtype=np.float64)
-    p_u = np.asarray(p_u, dtype=np.float64)
-
-    def xlogx(a):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a > 0.0, a * np.log(a), 0.0)
-
-    h_rows1 = -xlogx(trans1).sum(axis=1)  # per-input conditional output entropies
-
-    # channel 1, conditioned on U
-    py1_u = t[:, :, None] * trans1[0] + (1.0 - t)[:, :, None] * trans1[1]  # (J, m, y1)
-    h_y1_u = -xlogx(py1_u).sum(axis=2)
-    h_y1_xu = t * h_rows1[0] + (1.0 - t) * h_rows1[1]
-    i_x_y1_u = (h_y1_u - h_y1_xu) @ p_u
-
-    # channel 1, marginal input
-    px0 = t @ p_u
-    py1 = px0[:, None] * trans1[0] + (1.0 - px0)[:, None] * trans1[1]
-    i_x_y1 = -xlogx(py1).sum(axis=1) - (px0 * h_rows1[0] + (1.0 - px0) * h_rows1[1])
-
-    # channel 2, from U
-    py2_u = t[:, :, None] * trans2[0] + (1.0 - t)[:, :, None] * trans2[1]  # (J, m, y2)
-    h_y2_u = (-xlogx(py2_u).sum(axis=2)) @ p_u
-    py2 = np.einsum("jmy,m->jy", py2_u, p_u)
-    i_u_y2 = -xlogx(py2).sum(axis=1) - h_y2_u
-
-    clip = lambda a: np.maximum(a, 0.0)
-    return clip(i_x_y1_u), clip(i_u_y2), clip(i_x_y1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .numerics import (
     binary_entropy_inv,
     bisect_monotone,
 )
-from .regions import ParametricFamily
+from .regions import ParametricFamily, check_c12
 
 _SLACK = 1e-9
 
@@ -61,20 +61,11 @@ class BecBscBC:
         return base.one_bit() - binary_entropy(self.p2, base)
 
 
-def _check_c12(bc: BecBscBC, c12: float, base: LogBase) -> tuple[float, float]:
-    c1, c2 = bc.cap1(base), bc.cap2(base)
-    if not -_SLACK <= c12 <= c1 - c2 + _SLACK:
-        raise ValueError(
-            f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"
-        )
-    return c1, c2
-
-
 def becbsc_family(
     bc: BecBscBC, c12: float, base: LogBase = LogBase.BITS
 ) -> ParametricFamily:
     """The crossover-parameterized boundary family for this channel pair."""
-    c1, c2 = _check_c12(bc, c12, base)
+    c1, c2 = check_c12(bc, c12, base)
     one = base.one_bit()
     return ParametricFamily(
         b=0.5,
@@ -100,7 +91,7 @@ def q_threshold(
     admissible C12 range brackets the target, and boundary targets clamp to
     the exact endpoint.
     """
-    _check_c12(bc, c12, base)
+    check_c12(bc, c12, base)
     target = c12 + bc.tau1 * base.one_bit()
 
     def g(q: float) -> float:
@@ -133,7 +124,7 @@ def r2star_closed(
     The entropy inverse reuses the shared bisection so this closed form and
     the parametric route round identically.  Valid up to the threshold rate.
     """
-    c1, c2 = _check_c12(bc, c12, base)
+    c1, c2 = check_c12(bc, c12, base)
     top = r1_th(bc, c12, base, tol)
     if not -_SLACK <= r1 <= top + _SLACK:
         raise ValueError(f"r1 must lie in [0, {top}], got {r1}")

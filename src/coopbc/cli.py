@@ -18,15 +18,12 @@ import numpy as np
 from . import becbsc as becbsc_mod
 from . import dnfsim, gaussian, oracle, regions
 from .channel import AuxiliaryJoint, ChannelPair, DiscreteChannel, is_more_capable, make_bec, make_bsc
-from .numerics import LogBase, Tolerance
+from .numerics import BudgetExceededError, LogBase, Tolerance
+from .regions import _fmt
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 def _write(path: Path, text: str) -> None:
@@ -174,6 +171,8 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     setup = _Setup(args.family, args.params, LogBase(args.base))
     tol = Tolerance(abs_tol=args.tol)
     if args.c12:
@@ -188,6 +187,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # code sizes are 2**(n*r): the simulator's rates are always in bits
+    if args.base != "bits":
+        raise ValueError(f"simulate takes rates in bits, not --base {args.base}")
     if args.family == "becbsc":
         channels = dnfsim.BecBsc(*args.params)
         if not args.input_law:
@@ -336,7 +338,7 @@ def main(argv=None) -> int:
     except regions.MonotonicityError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (oracle.BudgetExceededError, dnfsim.BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

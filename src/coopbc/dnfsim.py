@@ -23,12 +23,9 @@ import numpy as np
 
 from . import _accel
 from .channel import AuxiliaryJoint
+from .numerics import BudgetExceededError
 
 _ERASURE = 2  # output symbol index for the erased position
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested code would materialize more codewords than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,14 @@ class CodeConfig:
 
     @property
     def n_bins(self) -> int:
-        return math.ceil(2.0 ** (self.n * self.c12))
+        # the link may be far wider than the code (c12 > r2 makes every bin a
+        # singleton), so compare the exponent with the float range first and
+        # build a power past it as an integer
+        exponent = self.n * self.c12
+        if exponent < 1023:
+            return math.ceil(2.0 ** exponent)
+        whole = math.floor(exponent)
+        return int(2.0 ** (exponent - whole) * 2.0**52) << (whole - 52)
 
     @property
     def bin_size(self) -> int:
@@ -281,7 +285,7 @@ def simulate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     book = build_superposition_codebook(cfg)
     bins = bin_assignment(cfg)
-    cand_flat, cand_start, cand_count = _bin_members(bins, cfg.n_bins)
+    cand_flat, cand_start, cand_count = _bin_members(bins, int(bins[-1]) + 1)
     nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     sat_flat = np.ascontiguousarray(book.satellites.reshape(nu1 * nu2, n))
 

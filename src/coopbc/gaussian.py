@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numerics import DEFAULT_TOL, LogBase, Tolerance, gaussian_cap, gaussian_cap_inv
-from .regions import ParametricFamily
+from .regions import ParametricFamily, check_c12
 
 _SLACK = 1e-9
 
@@ -33,20 +33,11 @@ class GaussianBC:
         return gaussian_cap(self.s2, base)
 
 
-def _check_c12(bc: GaussianBC, c12: float, base: LogBase) -> tuple[float, float]:
-    c1, c2 = bc.cap1(base), bc.cap2(base)
-    if not -_SLACK <= c12 <= c1 - c2 + _SLACK:
-        raise ValueError(
-            f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"
-        )
-    return c1, c2
-
-
 def gaussian_family(
     bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS
 ) -> ParametricFamily:
     """The power-split boundary family for this SNR pair and cooperation rate."""
-    c1, c2 = _check_c12(bc, c12, base)
+    c1, c2 = check_c12(bc, c12, base)
     return ParametricFamily(
         b=1.0,
         f1=lambda a: gaussian_cap(a * bc.s1, base),
@@ -63,7 +54,7 @@ def alpha_th_closed(bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS) ->
     At C12 = C1 - C2 the inner expression blows up and the limit value 0 is
     returned directly.
     """
-    c1, c2 = _check_c12(bc, c12, base)
+    c1, c2 = check_c12(bc, c12, base)
     delta = max(c1 - c2 - c12, 0.0)
     snr = gaussian_cap_inv(delta, base)
     if snr <= 0.0:
@@ -88,7 +79,7 @@ def r2star_closed(
     Valid for r1 up to the threshold rate; beyond it the curve is not a
     proven boundary and the call is rejected.
     """
-    c1, c2 = _check_c12(bc, c12, base)
+    c1, c2 = check_c12(bc, c12, base)
     r1_th = r1_th_closed(bc, c12, base)
     if not -_SLACK <= r1 <= r1_th + _SLACK:
         raise ValueError(f"r1 must lie in [0, {r1_th}], got {r1}")

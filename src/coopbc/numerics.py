@@ -61,6 +61,10 @@ class IterationLimitError(RuntimeError):
     """An iterative solver exhausted its iteration budget before converging."""
 
 
+class BudgetExceededError(RuntimeError):
+    """A grid scan or a codebook would exceed its configured work budget."""
+
+
 def binary_entropy(p: float, base: LogBase = LogBase.BITS) -> float:
     """Entropy of a Bernoulli(p) source, with 0*log(0) taken as 0."""
     if not 0.0 <= p <= 1.0:

@@ -1,11 +1,11 @@
 """Brute-force region recomputation by exhaustive grid over auxiliary joints.
 
 This is the slow, auditable route: enumerate every cloud law P_U on a
-simplex grid and every conditional row P_{X|U=u} on a 1-D grid, evaluate the
-mutual-information triple for each joint, collect the achievable corners,
-and Pareto-filter.  Whatever the parametric formulas claim, the grid can
-only produce points inside the true region, so it one-sidedly validates
-them from below.
+simplex grid and every conditional row P_{X|U=u} on the input simplex grid,
+evaluate the mutual-information triple for each joint with one kernel for
+every input alphabet, collect the achievable corners, and Pareto-filter.
+Whatever the parametric formulas claim, the grid can only produce points
+inside the true region, so it one-sidedly validates them from below.
 """
 
 from __future__ import annotations
@@ -17,19 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .channel import ChannelPair, capacity, _mi_batch_nats, _xlogx
-from .numerics import LogBase
+from .numerics import BudgetExceededError, LogBase
 from .regions import (
     SEGMENT_CONJECTURED,
     SEGMENT_PROVEN,
     RateRegionBoundary,
     pareto_filter,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested grid would evaluate more joints than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +72,10 @@ def evaluation_count(pair: ChannelPair, spec: GridSpec) -> int:
     return composition_count(spec.steps, m) * rows_per_u**m
 
 
-def _binary_t_combos(steps: int, m: int) -> np.ndarray:
-    """Cartesian grid of conditional rows for binary X: ((steps+1)^m, m)."""
-    axis = np.linspace(0.0, 1.0, steps + 1)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _row_tables(row_grid, trans1, trans2):
+    """Per-row I(X;Y1|U=u), P(Y2|U=u) and H(Y2|U=u) in nats, computed once per scan."""
+    rows_py2 = row_grid @ trans2
+    return _mi_batch_nats(row_grid, trans1), rows_py2, -_xlogx(rows_py2).sum(axis=1)
 
 
 def _general_scan_chunk(p_u, row_grid, rows_mi1, rows_py2, rows_h2, trans1):
@@ -121,32 +115,23 @@ def _scan_corners(
         )
     m = spec.u_cardinality
     trans1 = pair.ch1.transitions
-    trans2 = pair.ch2.transitions
     scale = base.ln_scale
     comps = [np.array(c, dtype=np.float64) / spec.steps for c in _compositions(spec.steps, m)]
 
-    if pair.input_size == 2:
-        t_combos = _binary_t_combos(spec.steps, m)
-        triples = lambda p_u: _accel.corner_scan(p_u, t_combos, trans1, trans2)
-    else:
+    if pair.input_size > 2:
         warnings.warn(
             f"exhaustive scan over a {pair.input_size}-ary input: the row grid "
             "grows combinatorially, keep steps small",
             stacklevel=3,
         )
-        row_grid = np.array(
-            [np.array(c, dtype=np.float64) / spec.steps
-             for c in _compositions(spec.steps, pair.input_size)]
-        )
-        rows_mi1 = _mi_batch_nats(row_grid, trans1)
-        rows_py2 = row_grid @ trans2
-        rows_h2 = -_xlogx(rows_py2).sum(axis=1)
-        triples = lambda p_u: _general_scan_chunk(
-            p_u, row_grid, rows_mi1, rows_py2, rows_h2, trans1
-        )
+    row_grid = np.array(
+        [np.array(c, dtype=np.float64) / spec.steps
+         for c in _compositions(spec.steps, pair.input_size)]
+    )
+    rows_mi1, rows_py2, rows_h2 = _row_tables(row_grid, trans1, pair.ch2.transitions)
 
     def scan_chunk(p_u):
-        a, b, c = triples(p_u)
+        a, b, c = _general_scan_chunk(p_u, row_grid, rows_mi1, rows_py2, rows_h2, trans1)
         a = a / scale
         b = b / scale + c12
         c = c / scale
@@ -197,28 +182,6 @@ def oracle_both(
     in_r1, in_r2, out_r1, out_r2 = _scan_corners(pair, c12, spec, base, threads)
     c1, _ = capacity(pair.ch1, base=base)
     return _as_boundary(in_r1, in_r2, c1), _as_boundary(out_r1, out_r2, c1)
-
-
-def oracle_inner(
-    pair: ChannelPair,
-    c12: float,
-    spec: GridSpec,
-    base: LogBase = LogBase.BITS,
-    threads: int = 1,
-) -> RateRegionBoundary:
-    """Grid frontier of the achievable region (individual bounds plus sum-rate cut)."""
-    return oracle_both(pair, c12, spec, base, threads)[0]
-
-
-def oracle_outer(
-    pair: ChannelPair,
-    c12: float,
-    spec: GridSpec,
-    base: LogBase = LogBase.BITS,
-    threads: int = 1,
-) -> RateRegionBoundary:
-    """Grid frontier of the outer-bound region (individual bounds only)."""
-    return oracle_both(pair, c12, spec, base, threads)[1]
 
 
 def frontier_deviation(a: RateRegionBoundary, b: RateRegionBoundary) -> float:

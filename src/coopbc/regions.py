@@ -16,10 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, bisect_monotone
+from .numerics import DEFAULT_TOL, LogBase, Tolerance, bisect_monotone
 
 _STRICT_SLACK = 1e-12
 _ENDPOINT_TOL = 1e-9
+_C12_SLACK = 1e-9
 
 SEGMENT_PROVEN = "proven"
 SEGMENT_CONJECTURED = "sumrate_conjectured"
@@ -75,6 +76,16 @@ class ParametricFamily:
             raise ValueError("f2 is not strictly decreasing on the validation grid")
         if not np.all(np.diff(v1 + v2) > _STRICT_SLACK):
             raise ValueError("f1 + f2 is not strictly increasing on the validation grid")
+
+
+def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
+    """(C1, C2) of a channel pair with ``cap1``/``cap2``, once 0 <= c12 <= C1 - C2."""
+    c1, c2 = bc.cap1(base), bc.cap2(base)
+    if not -_C12_SLACK <= c12 <= c1 - c2 + _C12_SLACK:
+        raise ValueError(
+            f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"
+        )
+    return c1, c2
 
 
 @dataclass(frozen=True)

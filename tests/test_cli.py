@@ -129,6 +129,14 @@ class TestSweep:
         assert vals[2] == pytest.approx(0.9, abs=1e-6)
 
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_points_below_one_rejected(self, tmp_path, capsys, points):
+        code = run(["sweep", "becbsc", 0.1, 0.2, "--points", points, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "thresholds.csv").exists()
+
+
 class TestOracleCompare:
     def test_small_grid_one_sided(self, tmp_path, capsys):
         # coarse grids deviate more than the release budget; pass a loose one
@@ -197,6 +205,23 @@ class TestSimulate:
                     "--trials", 10, "--input-law", law, "--out", tmp_path])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_link_wider_than_the_float_range(self, tmp_path):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                    "--n", 2000, "--r1", 0.001, "--r2", 0.001, "--c12", 0.6,
+                    "--trials", 10, "--input-law", law, "--out", tmp_path])
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["trials"] == 10
+
+    def test_rates_are_bits_only(self, tmp_path, capsys):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                    "--n", 10, "--r1", 0.3, "--r2", 0.2, "--c12", 0.2,
+                    "--trials", 10, "--input-law", law, "--base", "nats", "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
 
     def test_becbsc_needs_law(self, tmp_path):
         code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,

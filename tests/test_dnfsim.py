@@ -85,6 +85,12 @@ class TestBinAssignment:
         bins = bin_assignment(cfg)
         np.testing.assert_array_equal(np.bincount(bins), [4, 4, 4, 4])
 
+    def test_link_wider_than_the_float_range(self):
+        # 2**(2000*0.6) overflows a float, yet the code has 16 codewords
+        cfg = CodeConfig(n=2000, r1=0.001, r2=0.001, c12=0.6, seed=0, input_law=UNIFORM_LAW)
+        assert cfg.n_bins == 2**1200
+        assert cfg.nu1 * cfg.nu2 == 16 and cfg.bin_size == 1
+
     def test_every_message_lands_in_a_valid_bin(self):
         cfg = CodeConfig(n=10, r1=0.1, r2=0.45, c12=0.2, seed=0, input_law=UNIFORM_LAW)
         bins = bin_assignment(cfg)
@@ -158,6 +164,16 @@ class TestSimulate:
         serial = simulate(cfg, BecBsc(0.1, 0.2), 1200)
         threaded = simulate(cfg, BecBsc(0.1, 0.2), 1200, threads=4)
         assert serial == threaded
+
+    def test_link_wider_than_the_float_range_runs(self):
+        # only the bins in use are searched: a 2**1280-index link decodes like
+        # one that just names every user-2 message
+        def report(c12):
+            cfg = CodeConfig(n=64, r1=2 / 64, r2=2 / 64, c12=c12, seed=4,
+                             input_law=symmetric_law(0.16))
+            return simulate(cfg, BecBsc(0.6, 0.3), 300)
+
+        assert report(20.0) == report(2 / 64)
 
     def test_gaussian_runs_and_reproduces(self):
         cfg = CodeConfig(n=10, r1=0.3, r2=0.2, c12=0.2, seed=9, power_split=0.6)

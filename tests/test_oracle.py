@@ -1,19 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from coopbc import _accel
 from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.channel import ChannelPair, DiscreteChannel, make_bec, make_bsc
 from coopbc.numerics import Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
+    _general_scan_chunk,
+    _row_tables,
     composition_count,
     evaluation_count,
     frontier_deviation,
     oracle_both,
-    oracle_inner,
-    oracle_outer,
 )
 from coopbc.regions import RateRegionBoundary, inner_boundary
 
@@ -46,21 +47,21 @@ class TestGridSpec:
     def test_budget_guard(self):
         spec = GridSpec(steps=200, u_cardinality=3)
         with pytest.raises(BudgetExceededError):
-            oracle_inner(PAIR, 0.0, spec)
+            oracle_both(PAIR, 0.0, spec)
 
 
 class TestConstantU:
     def test_outer_rectangle_corners(self):
         # |U| = 1 collapses to rectangles (I(X;Y1), c12) over the input grid
         spec = GridSpec(steps=64, u_cardinality=1)
-        out = oracle_outer(PAIR, 0.2, spec)
+        out = oracle_both(PAIR, 0.2, spec)[1]
         assert out.r2[-1] == pytest.approx(0.2, abs=1e-12)
         assert out.r1[-1] == pytest.approx(0.9, abs=1e-9)  # uniform input on the grid
 
     def test_inner_pentagon_corners(self):
         # the sum-rate cut bites: best corners are (I, 0) and (I - c12, c12)
         spec = GridSpec(steps=64, u_cardinality=1)
-        inner = oracle_inner(PAIR, 0.2, spec)
+        inner = oracle_both(PAIR, 0.2, spec)[0]
         assert inner.r1[-1] == pytest.approx(0.9, abs=1e-9)
         assert inner.r2[-1] == pytest.approx(0.0, abs=1e-12)
         k = int(np.argmin(np.abs(inner.r1 - 0.7)))
@@ -76,11 +77,12 @@ class TestRestrictionWitness:
         t2 = PAIR.ch2.transitions
         ln2 = np.log(2.0)
         for q in np.linspace(0.0, 0.5, 100):
-            t_combo = np.array([[1.0 - q, q]])
-            a, b, c = _accel.corner_scan(p_u, t_combo, t1, t2)
-            assert a[0] / ln2 == pytest.approx(fam.f1(q), abs=1e-12)
-            assert b[0] / ln2 + 0.2 == pytest.approx(fam.f2(q), abs=1e-12)
-            assert c[0] / ln2 == pytest.approx(0.9, abs=1e-12)
+            # combinations run last-U fastest, so index 1 is rows (0, 1)
+            rows = np.array([[1.0 - q, q], [q, 1.0 - q]])
+            a, b, c = _general_scan_chunk(p_u, rows, *_row_tables(rows, t1, t2), t1)
+            assert a[1] / ln2 == pytest.approx(fam.f1(q), abs=1e-12)
+            assert b[1] / ln2 + 0.2 == pytest.approx(fam.f2(q), abs=1e-12)
+            assert c[1] / ln2 == pytest.approx(0.9, abs=1e-12)
 
 
 class TestAgainstParametric:
@@ -95,8 +97,8 @@ class TestAgainstParametric:
 
     def test_refinement_never_shrinks(self):
         # nested grids: every coarse corner stays dominated at double resolution
-        coarse = oracle_inner(PAIR, 0.2, GridSpec(steps=20, u_cardinality=2))
-        fine = oracle_inner(PAIR, 0.2, GridSpec(steps=40, u_cardinality=2))
+        coarse = oracle_both(PAIR, 0.2, GridSpec(steps=20, u_cardinality=2))[0]
+        fine = oracle_both(PAIR, 0.2, GridSpec(steps=40, u_cardinality=2))[0]
         assert np.all(fine.interp_r2(coarse.r1) >= coarse.r2 - 1e-12)
 
     def test_deviation_shrinks_with_steps(self):
@@ -104,7 +106,7 @@ class TestAgainstParametric:
         param = inner_boundary(fam, 2001)
         dev = [
             frontier_deviation(
-                oracle_inner(PAIR, 0.2, GridSpec(steps=s, u_cardinality=2)), param
+                oracle_both(PAIR, 0.2, GridSpec(steps=s, u_cardinality=2))[0], param
             )
             for s in (20, 40)
         ]
@@ -116,7 +118,7 @@ class TestAgainstParametric:
 
     def test_no_cooperation_matches_family(self):
         fam = becbsc_family(BC, 0.0)
-        inner = oracle_inner(PAIR, 0.0, GridSpec(steps=50, u_cardinality=2))
+        inner = oracle_both(PAIR, 0.0, GridSpec(steps=50, u_cardinality=2))[0]
         dev = frontier_deviation(inner, inner_boundary(fam, 2001))
         assert dev <= 1e-2
 
@@ -127,6 +129,13 @@ class TestAgainstParametric:
         for a, b in zip(single, multi):
             np.testing.assert_array_equal(a.r1, b.r1)
             np.testing.assert_array_equal(a.r2, b.r2)
+
+
+class TestBinaryInput:
+    def test_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle_both(PAIR, 0.2, GridSpec(steps=10, u_cardinality=2))
 
 
 class TestTernaryInput:
