@@ -135,14 +135,16 @@ def bisect_monotone(
     sign-based halving to do better, and exact analytic boundary cases come
     back exact.
 
-    Raises BracketError when the target is not between f(lo) and f(hi), and
-    IterationLimitError if the bracket cannot be narrowed within
-    ``tol.max_iters`` halvings.
+    Raises ValueError for a NaN target, BracketError when the target is not
+    between f(lo) and f(hi), and IterationLimitError if the bracket cannot
+    be narrowed within ``tol.max_iters`` halvings.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if math.isnan(target):
+        raise ValueError("bisection target is NaN")
     sign = 1.0 if direction == "increasing" else -1.0
     f_lo = sign * f(lo)
     f_hi = sign * f(hi)

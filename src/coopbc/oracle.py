@@ -98,15 +98,46 @@ def _general_scan_chunk(p_u, row_grid, rows_mi1, rows_py2, rows_h2, trans1):
     return a, b, c
 
 
+class _Fold:
+    """Running Pareto frontier of the chunk survivors, folded in chunk order.
+
+    Survivors wait in a pending list until they outnumber the frontier, then
+    one filter merges them into it, so memory stays near two frontiers.  The
+    frontier always precedes the pending points, which keeps the filter's
+    lowest-index tie rule equal to one filter over every chunk in order.
+    """
+
+    def __init__(self):
+        self.r1 = self.r2 = np.empty(0)
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, r1: np.ndarray, r2: np.ndarray) -> None:
+        self.pending.append((r1, r2))
+        if sum(p[0].size for p in self.pending) > self.r1.size:
+            self._fold()
+
+    def _fold(self) -> None:
+        r1 = np.concatenate([self.r1, *(p[0] for p in self.pending)])
+        r2 = np.concatenate([self.r2, *(p[1] for p in self.pending)])
+        self.pending = []
+        keep = pareto_filter(r1, r2)
+        self.r1, self.r2 = r1[keep], r2[keep]
+
+    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fold what is pending and return the frontier's (r1, r2)."""
+        self._fold()
+        return self.r1, self.r2
+
+
 def _scan_corners(
     pair: ChannelPair, c12: float, spec: GridSpec, base: LogBase, threads: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pareto-filtered (r1, r2) corner clouds for the cut and uncut regions.
 
     Returns (inner_r1, inner_r2, outer_r1, outer_r2).  Work is partitioned
-    by cloud-law composition; each chunk is filtered locally and the
-    survivors merged with a final filter, so the result is independent of
-    the thread count.
+    by cloud-law composition; each chunk is filtered locally and its
+    survivors are folded into a running frontier in chunk order, so the
+    result is independent of the thread count.
     """
     total = evaluation_count(pair, spec)
     if total > spec.eval_budget:
@@ -146,19 +177,19 @@ def _scan_corners(
         ko = pareto_filter(a, b)
         return inner_r1[ki], inner_r2[ki], a[ko], b[ko]
 
+    inner, outer = _Fold(), _Fold()
+
+    def fold_in(parts):
+        for in_r1, in_r2, out_r1, out_r2 in parts:
+            inner.add(in_r1, in_r2)
+            outer.add(out_r1, out_r2)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan_chunk, comps))
+            fold_in(pool.map(scan_chunk, comps))
     else:
-        parts = [scan_chunk(p_u) for p_u in comps]
-
-    inner_r1 = np.concatenate([p[0] for p in parts])
-    inner_r2 = np.concatenate([p[1] for p in parts])
-    outer_r1 = np.concatenate([p[2] for p in parts])
-    outer_r2 = np.concatenate([p[3] for p in parts])
-    ki = pareto_filter(inner_r1, inner_r2)
-    ko = pareto_filter(outer_r1, outer_r2)
-    return inner_r1[ki], inner_r2[ki], outer_r1[ko], outer_r2[ko]
+        fold_in(map(scan_chunk, comps))
+    return (*inner.frontier(), *outer.frontier())
 
 
 def _as_boundary(r1: np.ndarray, r2: np.ndarray, c1: float) -> RateRegionBoundary:

@@ -142,22 +142,46 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
     A point is kept iff no other point is >= in both coordinates (and > in
     at least one).  Ties in r1 keep the largest r2; ties in r2 keep the
-    largest r1.
+    largest r1; among exact duplicates the lowest index wins.  Points with
+    r1 = +inf or r2 = -inf are never kept.  NaN raises ValueError.
+
+    Two passes, no Python loop (Kung, Luccio and Preparata, JACM 1975).
+    Prune: sort by r1 and keep as candidates the points whose r2 is at
+    least the largest r2 after them, a suffix maximum.  Every survivor
+    passes, and so does, for every other candidate, some candidate that
+    drops it, so filtering the candidates alone gives the answer.  Filter: walk
+    the few candidates in (r1, r2) descending order, ties by index, and keep
+    a point when its r2 beats the running maximum of the points before it;
+    that also drops all but the first point of each r1 group.
     """
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
-    order = np.lexsort((-r2, -r1))  # r1 descending, then r2 descending
-    keep = []
-    best_r2 = -np.inf
-    last_r1 = np.inf
-    for idx in order:
-        if r1[idx] == last_r1:
-            continue  # dominated: same r1, smaller-or-equal r2
-        last_r1 = r1[idx]
-        if r2[idx] > best_r2:
-            keep.append(idx)
-            best_r2 = r2[idx]
-    return np.array(keep[::-1], dtype=np.intp)
+    if r1.ndim != 1 or r1.shape != r2.shape:
+        raise ValueError(
+            f"r1 and r2 must be equal-length 1-D arrays, got shapes {r1.shape} and {r2.shape}"
+        )
+    if np.isnan(r1).any() or np.isnan(r2).any():
+        raise ValueError("pareto_filter got a NaN rate")
+    # r1 = +inf points never survive and never dominate anything
+    idx = np.flatnonzero(r1 < np.inf)
+    if idx.size < r1.size:
+        r1, r2 = r1[idx], r2[idx]
+    else:
+        idx = None
+    if r1.size == 0:
+        return np.empty(0, dtype=np.intp)
+    by_r1 = np.argsort(r1)
+    s2 = r2[by_r1]
+    # largest r2 after each point in the r1 order; >=, not >, because the
+    # points after it include its own r1 ties
+    after = np.append(np.maximum.accumulate(s2[::-1])[-2::-1], -np.inf)
+    cand = np.sort(by_r1[s2 >= after])  # original index order, for the tie rule
+    c1, c2 = r1[cand], r2[cand]
+    order = np.lexsort((-c2, -c1))  # r1 descending, then r2 descending
+    walk_r2 = c2[order]
+    best_before = np.maximum.accumulate(np.append(-np.inf, walk_r2))[:-1]
+    keep = cand[order[walk_r2 > best_before][::-1]]
+    return keep if idx is None else idx[keep]
 
 
 def threshold_alpha(fam: ParametricFamily, tol: Tolerance = DEFAULT_TOL) -> float:

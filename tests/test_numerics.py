@@ -77,6 +77,10 @@ class TestBinaryEntropyInv:
         with pytest.raises(ValueError):
             binary_entropy_inv(1.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            binary_entropy_inv(math.nan)
+
 
 class TestBinaryConvolution:
     def test_identity_element(self):
@@ -187,6 +191,11 @@ class TestBisectMonotone:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             bisect_monotone(lambda v: v, 0.0, 1.0, 0.5, "sideways")
+
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_nan_target_rejected(self, direction):
+        with pytest.raises(ValueError, match="NaN"):
+            bisect_monotone(lambda v: v, 0.0, 1.0, math.nan, direction)
 
 
 class TestTolerance:

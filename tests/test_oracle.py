@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from coopbc import oracle
 from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.channel import ChannelPair, DiscreteChannel, make_bec, make_bsc
 from coopbc.numerics import Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
+    _compositions,
     _general_scan_chunk,
     _row_tables,
     composition_count,
@@ -16,7 +18,7 @@ from coopbc.oracle import (
     frontier_deviation,
     oracle_both,
 )
-from coopbc.regions import RateRegionBoundary, inner_boundary
+from coopbc.regions import RateRegionBoundary, boundary_to_csv, inner_boundary, pareto_filter
 
 PAIR = ChannelPair(make_bec(0.1), make_bsc(0.2))
 BC = BecBscBC(0.1, 0.2)
@@ -122,13 +124,48 @@ class TestAgainstParametric:
         dev = frontier_deviation(inner, inner_boundary(fam, 2001))
         assert dev <= 1e-2
 
-    def test_threads_are_deterministic(self):
-        spec = GridSpec(steps=25, u_cardinality=2)
-        single = oracle_both(PAIR, 0.2, spec, threads=1)
-        multi = oracle_both(PAIR, 0.2, spec, threads=4)
-        for a, b in zip(single, multi):
-            np.testing.assert_array_equal(a.r1, b.r1)
-            np.testing.assert_array_equal(a.r2, b.r2)
+    def test_threads_are_deterministic(self, monkeypatch):
+        calls = []
+
+        def counted(r1, r2):
+            calls.append(len(r1))
+            return pareto_filter(r1, r2)
+
+        monkeypatch.setattr(oracle, "pareto_filter", counted)
+        for steps, u_size in ((60, 2), (12, 3)):
+            spec = GridSpec(steps=steps, u_cardinality=u_size)
+            files = {}
+            for threads in (1, 2, 4):
+                calls.clear()
+                files[threads] = [boundary_to_csv(b)
+                                  for b in oracle_both(PAIR, 0.2, spec, threads=threads)]
+                # two filters per chunk, then the folds: more than the two final ones
+                assert len(calls) - 2 * composition_count(steps, u_size) > 2
+            assert files[2] == files[1]
+            assert files[4] == files[1]
+
+    def test_fold_equals_one_filter_over_every_corner(self):
+        c12, spec = 0.2, GridSpec(steps=14, u_cardinality=3)
+        t1, t2 = PAIR.ch1.transitions, PAIR.ch2.transitions
+        rows = np.array([np.array(c) / spec.steps for c in _compositions(spec.steps, 2)])
+        tables = _row_tables(rows, t1, t2)
+        inner, outer = [], []
+        for comp in _compositions(spec.steps, spec.u_cardinality):
+            p_u = np.array(comp, dtype=np.float64) / spec.steps
+            a, b, c = _general_scan_chunk(p_u, rows, *tables, t1)
+            a, b, c = a / np.log(2.0), b / np.log(2.0) + c12, c / np.log(2.0)
+            r1a = np.minimum(a, c)
+            r2b = np.minimum(b, c)
+            inner.append((r1a, np.maximum(np.minimum(b, c - r1a), 0.0)))
+            inner.append((np.maximum(np.minimum(a, c - r2b), 0.0), r2b))
+            outer.append((a, b))
+        got = oracle_both(PAIR, c12, spec)
+        for boundary, corners in zip(got, (inner, outer)):
+            r1 = np.concatenate([p[0] for p in corners])
+            r2 = np.concatenate([p[1] for p in corners])
+            keep = pareto_filter(r1, r2)
+            assert boundary.r1.tobytes() == r1[keep].tobytes()
+            assert boundary.r2.tobytes() == r2[keep].tobytes()
 
 
 class TestBinaryInput:

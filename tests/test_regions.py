@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopbc.gaussian import GaussianBC, gaussian_family
 from coopbc.regions import (
@@ -224,7 +225,96 @@ class TestSweep:
             sweep_thresholds(lambda c: gaussian_family(BC, 0.5), [0.4, 0.5])
 
 
+def ref_pareto_filter(r1, r2):
+    """The per-point loop that the vectorized filter must match index for index."""
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r2, dtype=np.float64)
+    order = np.lexsort((-r2, -r1))  # r1 descending, then r2 descending
+    keep = []
+    best_r2 = -np.inf
+    last_r1 = np.inf
+    for idx in order:
+        if r1[idx] == last_r1:
+            continue  # dominated: same r1, smaller-or-equal r2
+        last_r1 = r1[idx]
+        if r2[idx] > best_r2:
+            keep.append(idx)
+            best_r2 = r2[idx]
+    return np.array(keep[::-1], dtype=np.intp)
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Rates on a k/K lattice plus signed zeros and infinities, with exact duplicates."""
+    lattice = draw(st.integers(1, 6))
+    coord = st.one_of(
+        st.integers(0, lattice).map(lambda k: k / lattice),
+        st.sampled_from([-0.0, 0.0, np.inf, -np.inf]),
+    )
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=40))
+    dups = draw(st.lists(st.integers(0, max(len(pts) - 1, 0)), max_size=10))
+    pts += [pts[i] for i in dups if pts]
+    perm = draw(st.permutations(range(len(pts))))
+    pts = [pts[i] for i in perm]
+    return (np.array([p[0] for p in pts], dtype=np.float64),
+            np.array([p[1] for p in pts], dtype=np.float64))
+
+
 class TestParetoFilter:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tie_heavy_points())
+    def test_matches_reference_loop(self, pts):
+        # identical indices, not just rates: _corner_sweep gathers alpha through them
+        r1, r2 = pts
+        got = pareto_filter(r1, r2)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, ref_pareto_filter(r1, r2))
+
+    def test_matches_reference_on_a_dense_cloud(self):
+        rng = np.random.default_rng(5)
+        r1 = rng.integers(0, 200, 20_000) / 200
+        r2 = np.minimum(1.0 - r1**2 + rng.integers(0, 3, r1.size) / 200, 1.0)
+        np.testing.assert_array_equal(pareto_filter(r1, r2), ref_pareto_filter(r1, r2))
+
+    def test_empty_and_single(self):
+        got = pareto_filter(np.empty(0), np.empty(0))
+        assert got.dtype == np.intp and got.size == 0
+        np.testing.assert_array_equal(pareto_filter([0.3], [0.4]), [0])
+
+    def test_duplicates_keep_lowest_index(self):
+        np.testing.assert_array_equal(pareto_filter([0.5, 0.5, 0.5], [0.2, 0.2, 0.2]), [0])
+        np.testing.assert_array_equal(pareto_filter([0.0, -0.0], [0.1, 0.1]), [0])
+
+    def test_infinities_keep_loop_behaviour(self):
+        # r1 = +inf and r2 = -inf points are never kept; r2 = +inf wins its r1 group
+        np.testing.assert_array_equal(pareto_filter([np.inf, 0.2], [1.0, 0.5]), [1])
+        np.testing.assert_array_equal(pareto_filter([0.1, 0.9], [0.5, -np.inf]), [0])
+        np.testing.assert_array_equal(pareto_filter([0.1, 0.2], [np.inf, 0.3]), [0, 1])
+
+    @pytest.mark.parametrize(
+        "r1, r2",
+        [
+            ([0.1, np.nan, 0.3], [0.5, 0.9, 0.1]),
+            ([0.1, 0.2, 0.3], [0.5, 0.9, np.nan]),
+            ([0.1, np.nan, 0.3], [0.5, 0.9, np.nan]),
+        ],
+    )
+    def test_nan_rejected(self, r1, r2):
+        with pytest.raises(ValueError, match="NaN"):
+            pareto_filter(r1, r2)
+
+    @pytest.mark.parametrize(
+        "r1, r2",
+        [
+            ([0.1, 0.2], [0.5]),
+            (np.zeros((2, 2)), np.zeros((2, 2))),
+            (0.5, 0.5),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, r1, r2):
+        with pytest.raises(ValueError, match="1-D"):
+            pareto_filter(r1, r2)
+
     def test_removes_dominated(self):
         r1 = np.array([0.0, 0.5, 0.4, 1.0])
         r2 = np.array([1.0, 0.6, 0.5, 0.0])
