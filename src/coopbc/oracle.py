@@ -101,10 +101,12 @@ def _general_scan_chunk(p_u, row_grid, rows_mi1, rows_py2, rows_h2, trans1):
 class _Fold:
     """Running Pareto frontier of the chunk survivors, folded in chunk order.
 
-    Survivors wait in a pending list until they outnumber the frontier, then
-    one filter merges them into it, so memory stays near two frontiers.  The
-    frontier always precedes the pending points, which keeps the filter's
-    lowest-index tie rule equal to one filter over every chunk in order.
+    Each added chunk must already be Pareto-filtered; the first one becomes
+    the frontier as it is.  Later survivors wait in a pending list until they
+    outnumber the frontier, then one filter merges them into it, so memory
+    stays near two frontiers.  The frontier always precedes the pending
+    points, which keeps the filter's lowest-index tie rule equal to one
+    filter over every chunk in order.
     """
 
     def __init__(self):
@@ -112,6 +114,9 @@ class _Fold:
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def add(self, r1: np.ndarray, r2: np.ndarray) -> None:
+        if self.r1.size == 0 and not self.pending:
+            self.r1, self.r2 = r1, r2
+            return
         self.pending.append((r1, r2))
         if sum(p[0].size for p in self.pending) > self.r1.size:
             self._fold()

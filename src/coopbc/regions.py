@@ -152,7 +152,9 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     drops it, so filtering the candidates alone gives the answer.  Filter: walk
     the few candidates in (r1, r2) descending order, ties by index, and keep
     a point when its r2 beats the running maximum of the points before it;
-    that also drops all but the first point of each r1 group.
+    that also drops all but the first point of each r1 group.  The walk
+    alone over every point gives the same indices, but its lexsort makes it
+    two to three times slower on an oracle chunk than the prune and walk.
     """
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)

@@ -134,15 +134,17 @@ class TestAgainstParametric:
         monkeypatch.setattr(oracle, "pareto_filter", counted)
         for steps, u_size in ((60, 2), (12, 3)):
             spec = GridSpec(steps=steps, u_cardinality=u_size)
-            files = {}
+            runs = {}
             for threads in (1, 2, 4):
                 calls.clear()
-                files[threads] = [boundary_to_csv(b)
-                                  for b in oracle_both(PAIR, 0.2, spec, threads=threads)]
+                runs[threads] = oracle_both(PAIR, 0.2, spec, threads=threads)
                 # two filters per chunk, then the folds: more than the two final ones
                 assert len(calls) - 2 * composition_count(steps, u_size) > 2
-            assert files[2] == files[1]
-            assert files[4] == files[1]
+            for threads in (2, 4):
+                for a, b in zip(runs[1], runs[threads]):
+                    assert a.r1.tobytes() == b.r1.tobytes()
+                    assert a.r2.tobytes() == b.r2.tobytes()
+                    assert boundary_to_csv(a) == boundary_to_csv(b)
 
     def test_fold_equals_one_filter_over_every_corner(self):
         c12, spec = 0.2, GridSpec(steps=14, u_cardinality=3)
