@@ -18,7 +18,7 @@ import numpy as np
 from . import becbsc as becbsc_mod
 from . import dnfsim, gaussian, oracle, regions
 from .channel import AuxiliaryJoint, ChannelPair, DiscreteChannel, is_more_capable, make_bec, make_bsc
-from .numerics import BudgetExceededError, LogBase, Tolerance
+from .numerics import DEFAULT_TOL, BudgetExceededError, LogBase, Tolerance
 from .regions import _fmt
 
 EXIT_OK = 0
@@ -35,7 +35,9 @@ def _write(path: Path, text: str) -> None:
 class _Setup:
     """Channel family, its parametric family factory, and derived constants."""
 
-    def __init__(self, kind: str, params: list[float], base: LogBase):
+    def __init__(
+        self, kind: str, params: list[float], base: LogBase, tol: Tolerance = DEFAULT_TOL
+    ):
         self.kind = kind
         self.base = base
         if kind == "gaussian":
@@ -45,7 +47,7 @@ class _Setup:
         elif kind == "becbsc":
             self.bc = becbsc_mod.BecBscBC(*params)
             self.family = lambda c12: becbsc_mod.becbsc_family(self.bc, c12, base)
-            self.threshold = lambda c12: becbsc_mod.q_threshold(self.bc, c12, base)
+            self.threshold = lambda c12: becbsc_mod.q_threshold(self.bc, c12, base, tol)
         else:
             raise ValueError(f"unknown channel family {kind!r} (use gaussian or becbsc)")
         self.c1 = self.bc.cap1(base)
@@ -69,7 +71,7 @@ def _emit_boundary(path: Path, boundary, fmt: str) -> Path:
 
 
 def cmd_region(args) -> int:
-    setup = _Setup(args.family, args.params, LogBase(args.base))
+    setup = _Setup(args.family, args.params, LogBase(args.base), Tolerance(abs_tol=args.tol))
     fam = setup.family(args.c12)
     a_th = setup.threshold(args.c12)
     r1_th = fam.f1(a_th)
@@ -94,7 +96,7 @@ def cmd_fig(args) -> int:
         setup = _Setup("gaussian", [5.0, 0.5], base)
         default_c12 = [0.0, 0.25, 0.5, 0.75, 1.0]
     else:
-        setup = _Setup("becbsc", [0.1, 0.2], base)
+        setup = _Setup("becbsc", [0.1, 0.2], base, Tolerance(abs_tol=args.tol))
         default_c12 = [0.0, 0.2, 0.4, 0.6]
     c12_list = [float(v) for v in args.c12.split(",")] if args.c12 else default_c12
     out = Path(args.out)
@@ -243,14 +245,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_FLAGS = {
+    "grid": dict(type=int, default=2001, help="boundary sampling grid size"),
+    "format": dict(choices=["csv", "json"], default="csv"),
+    "threads": dict(type=int, default=1),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str, tol: str = "") -> None:
+    """--base and --out, plus the named flags and --tol (given its help) that the
+    subcommand reads; a flag it would ignore is not registered, so passing one exits 2."""
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--grid", type=int, default=2001, help="boundary sampling grid size")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-10, help=tol)
+
+
+_THRESHOLD_TOL = "bisection width of the becbsc threshold (the Gaussian threshold is closed-form)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=float, nargs=2, help="s1 s2 (gaussian) or tau1 p2 (becbsc)")
     p.add_argument("--c12", type=float, required=True)
     p.add_argument("--which", choices=["inner", "outer", "both"], default="both")
-    _add_common(p)
+    _add_common(p, "grid", "format", tol=_THRESHOLD_TOL)
     p.set_defaults(func=cmd_region)
 
-    for name in ("fig2", "fig3"):
+    for name, tol in (("fig2", ""), ("fig3", _THRESHOLD_TOL)):
         p = sub.add_parser(name, help=f"emit the {name} dataset (frontier per c12 + diamonds)")
         p.add_argument("--c12", default="", help="comma-separated cooperation rates")
-        _add_common(p)
+        _add_common(p, "grid", "format", tol=tol)
         p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser("check-mc", help="scan for a violation of the channel ordering")
@@ -282,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tau1 p2 (becbsc), s1 s2 (gaussian), or two channel-matrix JSON paths",
     )
     p.add_argument("--resolution", type=int, default=10_000)
-    _add_common(p)
+    _add_common(p, tol="slack below zero allowed in the ordering gap")
     p.set_defaults(func=cmd_check_mc)
 
     p = sub.add_parser("oracle-compare", help="grid oracle vs parametric frontiers (becbsc)")
@@ -292,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--u-size", type=int, default=2, dest="u_size")
     p.add_argument("--budget", type=float, default=5e-3, help="max allowed frontier deviation")
-    _add_common(p)
+    _add_common(p, "grid", "format", "threads")
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("sweep", help="threshold table over a cooperation-rate grid")
@@ -300,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=float, nargs=2)
     p.add_argument("--c12", default="", help="comma-separated grid (default: linspace)")
     p.add_argument("--points", type=int, default=50)
-    _add_common(p)
+    _add_common(p, tol="bisection width of each threshold")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the layered coding scheme")
@@ -315,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-law", default="", help="path to an auxiliary-joint JSON")
     p.add_argument("--power-split", type=float, default=None)
     p.add_argument("--codeword-budget", type=int, default=65536)
-    _add_common(p)
+    _add_common(p, "threads", "seed")
     p.set_defaults(func=cmd_simulate)
 
     return ap

@@ -236,33 +236,34 @@ def _bin_members(bins: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray,
     return flat, starts, counts
 
 
-def _draw_trials_discrete(cfg: CodeConfig, trials: int):
-    """Per-trial messages and channel noise, one independent stream per trial."""
+def _draw_trials(cfg: CodeConfig, trials: int, draw):
+    """Per-trial messages and channel noise, one independent stream per trial.
+
+    Trial t's stream gives m1, m2, then user 1's and user 2's noise vectors,
+    each ``draw(rng, n)``.
+    """
+    nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     m1 = np.empty(trials, dtype=np.int64)
     m2 = np.empty(trials, dtype=np.int64)
-    u_erase = np.empty((trials, cfg.n))
-    u_flip = np.empty((trials, cfg.n))
+    z1 = np.empty((trials, n))
+    z2 = np.empty((trials, n))
     for t in range(trials):
         rng = _trial_rng(cfg, t)
-        m1[t] = rng.integers(cfg.nu1)
-        m2[t] = rng.integers(cfg.nu2)
-        u_erase[t] = rng.random(cfg.n)
-        u_flip[t] = rng.random(cfg.n)
-    return m1, m2, u_erase, u_flip
+        m1[t] = rng.integers(nu1)
+        m2[t] = rng.integers(nu2)
+        z1[t] = draw(rng, n)
+        z2[t] = draw(rng, n)
+    return m1, m2, z1, z2
+
+
+def _draw_trials_discrete(cfg: CodeConfig, trials: int):
+    """Uniform variates that decide each erasure (user 1) and flip (user 2)."""
+    return _draw_trials(cfg, trials, np.random.Generator.random)
 
 
 def _draw_trials_gaussian(cfg: CodeConfig, trials: int):
-    m1 = np.empty(trials, dtype=np.int64)
-    m2 = np.empty(trials, dtype=np.int64)
-    z1 = np.empty((trials, cfg.n))
-    z2 = np.empty((trials, cfg.n))
-    for t in range(trials):
-        rng = _trial_rng(cfg, t)
-        m1[t] = rng.integers(cfg.nu1)
-        m2[t] = rng.integers(cfg.nu2)
-        z1[t] = rng.standard_normal(cfg.n)
-        z2[t] = rng.standard_normal(cfg.n)
-    return m1, m2, z1, z2
+    """Unit-variance noise for both receivers."""
+    return _draw_trials(cfg, trials, np.random.Generator.standard_normal)
 
 
 def simulate(

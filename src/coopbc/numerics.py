@@ -1,8 +1,14 @@
-"""Scalar entropy/capacity functions and a monotone bisection solver.
+"""Entropy/capacity functions and a monotone bisection solver.
 
 Everything in this module is a pure function of its arguments.  Rate-valued
 quantities are expressed in a caller-chosen logarithm base (bits by default);
 a single computation should stick to one base throughout.
+
+``binary_entropy``, ``binary_convolution`` and ``gaussian_cap`` take either a
+Python float or an ndarray.  A float runs on ``math`` (numpy costs over ten
+times as much per scalar call, and bisection makes thousands of them); an
+array runs through numpy ufuncs in one call.  The two agree to within a few
+ulp: ``np.log2`` and ``math.log2`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 
 class LogBase(Enum):
     """Logarithm base shared by every entropy, capacity, and rate in a run."""
@@ -20,20 +28,31 @@ class LogBase(Enum):
     NATS = "nats"
 
     def log(self, x: float) -> float:
-        return math.log2(x) if self is LogBase.BITS else math.log(x)
+        return math.log2(x) if self is _BITS else math.log(x)
+
+    @property
+    def log_ufunc(self) -> np.ufunc:
+        """The numpy counterpart of :meth:`log`, for arrays."""
+        return np.log2 if self is _BITS else np.log
 
     def power(self, y: float) -> float:
         """Inverse of :meth:`log`, i.e. base**y."""
-        return 2.0 ** y if self is LogBase.BITS else math.exp(y)
+        return 2.0 ** y if self is _BITS else math.exp(y)
 
     def one_bit(self) -> float:
         """The value of one bit in this base (the log of 2)."""
-        return 1.0 if self is LogBase.BITS else math.log(2.0)
+        return 1.0 if self is _BITS else math.log(2.0)
 
     @property
     def ln_scale(self) -> float:
         """Divide a natural-log quantity by this to convert into the base."""
-        return math.log(2.0) if self is LogBase.BITS else 1.0
+        return math.log(2.0) if self is _BITS else 1.0
+
+
+# The methods above compare with this alias: on Python 3.11 every
+# ``LogBase.BITS`` lookup goes through an enum descriptor and costs about
+# three times a math.log2 call, and bisection calls ``log`` thousands of times.
+_BITS = LogBase.BITS
 
 
 @dataclass(frozen=True)
@@ -65,8 +84,27 @@ class BudgetExceededError(RuntimeError):
     """A grid scan or a codebook would exceed its configured work budget."""
 
 
-def binary_entropy(p: float, base: LogBase = LogBase.BITS) -> float:
-    """Entropy of a Bernoulli(p) source, with 0*log(0) taken as 0."""
+def _check_probabilities(p) -> None:
+    p = np.asarray(p)
+    bad = ~((p >= 0.0) & (p <= 1.0))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"probability must lie in [0, 1], got {p[bad].flat[0]}")
+
+
+def binary_entropy(p, base: LogBase = LogBase.BITS):
+    """Entropy of a Bernoulli(p) source, with 0*log(0) taken as 0.
+
+    ``p`` is a float or an ndarray; an array is evaluated elementwise with
+    the same operations in the same order as a float, on numpy's log.
+    """
+    if type(p) is not float and isinstance(p, np.ndarray):
+        _check_probabilities(p)
+        log = base.log_ufunc
+        q = 1.0 - p
+        # log only where the term is kept; a skipped term contributes 0.0
+        t1 = p * log(p, out=np.zeros(p.shape), where=p > 0.0)
+        t2 = q * log(q, out=np.zeros(p.shape), where=p < 1.0)
+        return (0.0 - t1) - t2
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     h = 0.0
@@ -94,17 +132,25 @@ def binary_entropy_inv(
     )
 
 
-def binary_convolution(p: float, q: float) -> float:
-    """Crossover probability of two cascaded symmetric binary flips."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {q}")
+def binary_convolution(p, q):
+    """Crossover probability of two cascaded symmetric binary flips (floats or ndarrays)."""
+    if type(p) is float and type(q) is float:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability must lie in [0, 1], got {p}")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"probability must lie in [0, 1], got {q}")
+    else:
+        _check_probabilities(p)
+        _check_probabilities(q)
     return p * (1.0 - q) + (1.0 - p) * q
 
 
-def gaussian_cap(x: float, base: LogBase = LogBase.BITS) -> float:
-    """Point-to-point AWGN capacity log(1 + x)/2 at SNR x, in the given base."""
+def gaussian_cap(x, base: LogBase = LogBase.BITS):
+    """Point-to-point AWGN capacity log(1 + x)/2 at SNR x (a float or an ndarray)."""
+    if type(x) is not float and isinstance(x, np.ndarray):
+        if np.any(x < 0.0):
+            raise ValueError(f"SNR must be nonnegative, got {x[x < 0.0].flat[0]}")
+        return 0.5 * base.log_ufunc(1.0 + x)
     if x < 0.0:
         raise ValueError(f"SNR must be nonnegative, got {x}")
     return 0.5 * base.log(1.0 + x)

@@ -40,10 +40,15 @@ class RatePair:
 class ParametricFamily:
     """Monotone boundary evaluators for one channel family at one cooperation rate.
 
-    Construction re-checks the contract on a validation grid: f1 strictly
-    increasing from 0 to c1, f2 strictly decreasing from c2+c12 to c12, and
-    f1+f2 strictly increasing.  These properties are what make the threshold
-    solve well-posed, so a family that fails them is rejected outright.
+    ``f1`` and ``f2`` take a float (bisection) or a whole parameter grid as
+    an ndarray (validation and sweeps); a constant may return a float for a
+    grid, which is broadcast to the grid's shape.
+
+    Construction re-checks the contract on a validation grid: f1 and f2
+    finite, f1 strictly increasing from 0 to c1, f2 strictly decreasing from
+    c2+c12 to c12, and f1+f2 strictly increasing.  These properties are what
+    make the threshold solve well-posed, so a family that fails them is
+    rejected outright.
     """
 
     b: float
@@ -60,8 +65,11 @@ class ParametricFamily:
         if self.c12 < 0:
             raise ValueError(f"cooperation rate must be nonnegative, got {self.c12}")
         grid = np.linspace(0.0, self.b, self.validation_points + 1)
-        v1 = np.array([self.f1(a) for a in grid])
-        v2 = np.array([self.f2(a) for a in grid])
+        v1 = _on_grid(self.f1, grid)
+        v2 = _on_grid(self.f2, grid)
+        for name, v in (("f1", v1), ("f2", v2)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} is not finite on the validation grid")
         for name, got, want in (
             ("f1(0)", v1[0], 0.0),
             ("f1(b)", v1[-1], self.c1),
@@ -76,6 +84,11 @@ class ParametricFamily:
             raise ValueError("f2 is not strictly decreasing on the validation grid")
         if not np.all(np.diff(v1 + v2) > _STRICT_SLACK):
             raise ValueError("f1 + f2 is not strictly increasing on the validation grid")
+
+
+def _on_grid(f: Callable, grid: np.ndarray) -> np.ndarray:
+    """f over the whole grid in one call; a constant result is broadcast to the grid."""
+    return np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
 
 
 def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
@@ -220,8 +233,8 @@ def _corner_sweep(fam: ParametricFamily, grid_size: int, sum_cut: bool) -> RateR
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     alphas = np.linspace(0.0, fam.b, grid_size)
-    f1s = np.array([fam.f1(a) for a in alphas])
-    f2s = np.array([fam.f2(a) for a in alphas])
+    f1s = _on_grid(fam.f1, alphas)
+    f2s = _on_grid(fam.f2, alphas)
     r2s = np.minimum(f2s, fam.c1 - f1s) if sum_cut else f2s
     proven = f1s + f2s <= fam.c1 + _STRICT_SLACK
     keep = pareto_filter(f1s, r2s)
@@ -260,7 +273,7 @@ def coincidence_check(
     """
     a_th = threshold_alpha(fam, tol)
     alphas = np.linspace(0.0, fam.b, grid_size)
-    sums = np.array([fam.f1(a) + fam.f2(a) for a in alphas])
+    sums = _on_grid(fam.f1, alphas) + _on_grid(fam.f2, alphas)
     below = alphas <= a_th
     max_violation = float(np.max(sums[below] - fam.c1, initial=0.0))
     above = (alphas > a_th) & (sums > fam.c1 + tol.abs_tol)
@@ -298,12 +311,31 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+# Frontier writers format whole columns a block of rows at a time, which
+# bounds the Python floats and strings alive at once on long oracle frontiers.
+# "%.12g" % x is the same text as _fmt(x), and faster.
+_BLOCK_ROWS = 4096
+_CSV_ROW = "%.12g,%.12g,%.12g,%s\n"
+_JSON_POINT = (
+    '    {\n      "alpha": %s,\n      "r1": %s,\n      "r2": %s,\n      "segment": %s\n    }'
+)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _row_blocks(boundary: RateRegionBoundary):
+    """(alpha, r1, r2, segment) slices of at most _BLOCK_ROWS rows, in order."""
+    for start in range(0, len(boundary), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield boundary.alpha[rows], boundary.r1[rows], boundary.r2[rows], boundary.segment[rows]
+
+
 def boundary_to_csv(boundary: RateRegionBoundary) -> str:
     """CSV frontier export: header alpha,r1,r2,segment, LF endings, 12 digits."""
-    lines = ["alpha,r1,r2,segment"]
-    for a, r1, r2, seg in zip(boundary.alpha, boundary.r1, boundary.r2, boundary.segment):
-        lines.append(f"{_fmt(a)},{_fmt(r1)},{_fmt(r2)},{seg}")
-    return "\n".join(lines) + "\n"
+    parts = ["alpha,r1,r2,segment\n"]
+    for alpha, r1, r2, seg in _row_blocks(boundary):
+        rows = zip(alpha.tolist(), r1.tolist(), r2.tolist(), seg.tolist())
+        parts.append("".join([_CSV_ROW % row for row in rows]))
+    return "".join(parts)
 
 
 def boundary_from_csv(text: str) -> RateRegionBoundary:
@@ -319,17 +351,24 @@ def boundary_from_csv(text: str) -> RateRegionBoundary:
     )
 
 
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """What ``json.dumps`` writes for each value of the column rounded to 12 digits."""
+    text = [str(float("%.12g" % v)) for v in column.tolist()]
+    if not np.isfinite(column).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
+
+
 def boundary_to_json(boundary: RateRegionBoundary) -> str:
-    points = [
-        {
-            "alpha": float(_fmt(a)),
-            "r1": float(_fmt(r1)),
-            "r2": float(_fmt(r2)),
-            "segment": str(seg),
-        }
-        for a, r1, r2, seg in zip(boundary.alpha, boundary.r1, boundary.r2, boundary.segment)
-    ]
-    return json.dumps({"points": points}, indent=2) + "\n"
+    """JSON frontier export: the text of ``json.dumps({"points": [...]}, indent=2)``
+    with each point's alpha, r1 and r2 rounded to 12 digits."""
+    blocks = []
+    for alpha, r1, r2, seg in _row_blocks(boundary):
+        seg = seg.tolist()
+        quoted = {s: json.dumps(s) for s in set(seg)}
+        rows = zip(_json_numbers(alpha), _json_numbers(r1), _json_numbers(r2), seg)
+        blocks.append(",\n".join([_JSON_POINT % (a, x, y, quoted[s]) for a, x, y, s in rows]))
+    return '{\n  "points": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
 
 
 def boundary_from_json(text: str) -> RateRegionBoundary:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopbc.channel import AuxiliaryJoint, make_bec, make_bsc
-from coopbc.cli import main
+from coopbc.cli import build_parser, main
 from coopbc.regions import boundary_from_csv, boundary_from_json
 
 
@@ -228,6 +228,76 @@ class TestSimulate:
                     "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2,
                     "--trials", 50, "--out", tmp_path])
         assert code == 2
+
+
+SUBCOMMAND_ARGV = {
+    "region": ["region", "gaussian", 5, 0.5, "--c12", 0.5],
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "check-mc": ["check-mc", "becbsc", 0.1, 0.2],
+    "oracle-compare": ["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2],
+    "sweep": ["sweep", "becbsc", 0.1, 0.2],
+    "simulate": ["simulate", "--channel", "gaussian", "--params", 5, 0.5, "--n", 8,
+                 "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 5, "--power-split", 0.5],
+}
+FLAG_VALUES = {"--threads": 2, "--seed": 3, "--grid": 101, "--format": "json", "--tol": 1e-6}
+# each subcommand registers only the flags it reads
+IGNORED_FLAGS = [
+    ("region", "--threads"), ("region", "--seed"),
+    ("fig2", "--threads"), ("fig2", "--seed"), ("fig2", "--tol"),
+    ("fig3", "--threads"), ("fig3", "--seed"),
+    ("check-mc", "--threads"), ("check-mc", "--seed"), ("check-mc", "--grid"),
+    ("check-mc", "--format"),
+    ("oracle-compare", "--seed"), ("oracle-compare", "--tol"),
+    ("sweep", "--threads"), ("sweep", "--seed"), ("sweep", "--grid"), ("sweep", "--format"),
+    ("simulate", "--tol"), ("simulate", "--grid"), ("simulate", "--format"),
+]
+READ_FLAGS = [
+    ("region", "--grid"), ("region", "--format"), ("region", "--tol"),
+    ("fig2", "--grid"), ("fig2", "--format"),
+    ("fig3", "--grid"), ("fig3", "--format"), ("fig3", "--tol"),
+    ("check-mc", "--tol"),
+    ("oracle-compare", "--grid"), ("oracle-compare", "--format"), ("oracle-compare", "--threads"),
+    ("sweep", "--tol"),
+    ("simulate", "--threads"), ("simulate", "--seed"),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", IGNORED_FLAGS)
+    def test_flag_the_subcommand_ignores_exits_2(self, tmp_path, capsys, command, flag):
+        argv = SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag], "--out", tmp_path]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag", READ_FLAGS)
+    def test_flag_the_subcommand_reads_parses(self, command, flag):
+        argv = [str(a) for a in SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag]]]
+        args = build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:])) == str(FLAG_VALUES[flag])
+
+    def test_tol_sets_the_becbsc_threshold_width(self, tmp_path, capsys):
+        argv = ["region", "becbsc", 0.1, 0.2, "--c12", 0.2, "--grid", 101, "--out", tmp_path]
+        printed = []
+        for extra in ([], ["--tol", 1e-4]):
+            assert run(argv + extra) == 0
+            out = capsys.readouterr().out
+            printed.append([ln for ln in out.splitlines() if ln.startswith("alpha_th")][0])
+        assert printed[0] != printed[1]
+        default, coarse = (float(p.split("=")[1]) for p in printed)
+        assert abs(default - coarse) <= 1e-4
+
+    def test_tol_reaches_fig3_diamonds(self, tmp_path):
+        texts = []
+        for extra in ([], ["--tol", 1e-4]):
+            assert run(["fig3", "--c12", "0.2", "--grid", 101, "--out", tmp_path] + extra) == 0
+            texts.append((tmp_path / "diamonds.csv").read_text())
+        assert texts[0] != texts[1]
 
 
 class TestRoundTrips:

@@ -209,3 +209,55 @@ class TestTolerance:
             Tolerance(abs_tol=0.0)
         with pytest.raises(ValueError):
             Tolerance(max_iters=0)
+
+
+class TestArrayArguments:
+    """The entropy/capacity functions take whole grids; floats stay on math."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_entropy_matches_scalars(self, base):
+        got = binary_entropy(self.GRID, base)
+        want = np.array([binary_entropy(float(p), base) for p in self.GRID])
+        # np.log2/np.log and math.log2/math.log may differ in the last bit
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert not np.signbit(got[[0, -1]]).any()
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_capacity_matches_scalars(self, base):
+        xs = 20.0 * self.GRID
+        got = gaussian_cap(xs, base)
+        want = np.array([gaussian_cap(float(x), base) for x in xs])
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+    def test_convolution_matches_scalars(self):
+        got = binary_convolution(0.2, self.GRID)
+        want = np.array([binary_convolution(0.2, float(q)) for q in self.GRID])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(binary_convolution(self.GRID, 0.2), want)
+
+    def test_float_argument_returns_float(self):
+        # the scalar path must never go through numpy: bisection calls it per step
+        for value in (
+            binary_entropy(0.3),
+            binary_entropy(0.3, LogBase.NATS),
+            binary_convolution(0.2, 0.3),
+            gaussian_cap(2.0),
+        ):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_array_domain(self, bad):
+        grid = np.array([0.1, bad, 0.3])
+        with pytest.raises(ValueError, match="probability"):
+            binary_entropy(grid)
+        with pytest.raises(ValueError, match="probability"):
+            binary_convolution(0.2, grid)
+        with pytest.raises(ValueError, match="probability"):
+            binary_convolution(np.full(3, bad), 0.2)
+
+    def test_array_snr_domain(self):
+        with pytest.raises(ValueError, match="SNR"):
+            gaussian_cap(np.array([1.0, -2.0]))

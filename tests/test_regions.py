@@ -1,9 +1,17 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.gaussian import GaussianBC, gaussian_family
+from coopbc.numerics import LogBase
 from coopbc.regions import (
+    _BLOCK_ROWS,
+    SEGMENT_CONJECTURED,
+    SEGMENT_PROVEN,
     MonotonicityError,
     ParametricFamily,
     RateRegionBoundary,
@@ -44,7 +52,8 @@ class TestFamilyValidation:
         linear_family()
 
     def test_flat_f1_rejected(self):
-        with pytest.raises(ValueError, match="f1"):
+        # the constant f1 is broadcast to the grid and fails the contract, not the call
+        with pytest.raises(ValueError, match="f1 is not strictly increasing"):
             ParametricFamily(b=1.0, f1=lambda a: 0.0, f2=lambda a: 0.6 - 0.4 * a,
                              c1=0.0, c2=0.4, c12=0.2)
 
@@ -61,6 +70,37 @@ class TestFamilyValidation:
     def test_negative_c12_rejected(self):
         with pytest.raises(ValueError, match="cooperation"):
             linear_family(c12=-0.1)
+
+    @pytest.mark.parametrize("at", [0.0, 0.5, 1.0])
+    def test_nan_on_the_grid_rejected(self, at):
+        # the grid is evaluated in one call; one NaN point must still fail the family
+        with pytest.raises(ValueError, match="f1 is not finite"):
+            ParametricFamily(b=1.0, f1=lambda a: np.where(a == at, np.nan, a),
+                             f2=lambda a: 0.6 - 0.4 * a, c1=1.0, c2=0.4, c12=0.2)
+
+
+def _families():
+    for base in LogBase:
+        one = base.one_bit()
+        yield f"becbsc-{base.value}", becbsc_family(BecBscBC(0.1, 0.2), 0.2 * one, base)
+        yield f"gaussian-{base.value}", gaussian_family(BC, 0.3 * one, base)
+
+
+class TestArrayEvaluators:
+    @pytest.mark.parametrize("name, fam", list(_families()))
+    def test_grid_call_matches_point_calls(self, name, fam):
+        grid = np.linspace(0.0, fam.b, 2001)
+        for f in (fam.f1, fam.f2):
+            got = f(grid)
+            assert got.shape == grid.shape
+            want = np.array([f(float(a)) for a in grid])
+            # numpy's log and math's log may differ in the last bit
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+    @pytest.mark.parametrize("name, fam", list(_families()))
+    def test_float_call_returns_float(self, name, fam):
+        for f in (fam.f1, fam.f2):
+            assert type(f(0.25)) is float
 
 
 class TestThreshold:
@@ -326,6 +366,84 @@ class TestParetoFilter:
         r2 = np.array([0.6, 0.9, 0.9])
         keep = pareto_filter(r1, r2)
         assert list(r1[keep]) == [0.7]
+
+
+def ref_boundary_to_csv(boundary):
+    """The per-point CSV writer that the column writer must match byte for byte."""
+    lines = ["alpha,r1,r2,segment"]
+    for a, r1, r2, seg in zip(boundary.alpha, boundary.r1, boundary.r2, boundary.segment):
+        lines.append(f"{float(a):.12g},{float(r1):.12g},{float(r2):.12g},{seg}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_boundary_to_json(boundary):
+    """The per-point JSON writer that the column writer must match byte for byte."""
+    points = [
+        {
+            "alpha": float(f"{float(a):.12g}"),
+            "r1": float(f"{float(r1):.12g}"),
+            "r2": float(f"{float(r2):.12g}"),
+            "segment": str(seg),
+        }
+        for a, r1, r2, seg in zip(boundary.alpha, boundary.r1, boundary.r2, boundary.segment)
+    ]
+    return json.dumps({"points": points}, indent=2) + "\n"
+
+
+def assert_writers_match(boundary):
+    assert boundary_to_csv(boundary) == ref_boundary_to_csv(boundary)
+    assert boundary_to_json(boundary) == ref_boundary_to_json(boundary)
+
+
+SPECIAL_VALUES = [1.0, 1e-05, 5e-324, 123456789.0]
+rates = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_VALUES))
+
+
+@st.composite
+def frontiers(draw):
+    """Any valid frontier: strictly increasing r1, nonincreasing r2, any alpha."""
+    r1 = np.unique(np.array(draw(st.lists(rates, min_size=1, max_size=30)), dtype=np.float64))
+    r2 = np.sort(np.array(draw(st.lists(rates, min_size=r1.size, max_size=r1.size))))[::-1]
+    alpha = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
+                          min_size=r1.size, max_size=r1.size))
+    segment = draw(st.lists(st.sampled_from([SEGMENT_PROVEN, SEGMENT_CONJECTURED]),
+                            min_size=r1.size, max_size=r1.size))
+    return RateRegionBoundary(r1, r2, np.array(alpha), np.array(segment))
+
+
+class TestColumnWriters:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(frontiers())
+    def test_match_point_writers(self, boundary):
+        assert_writers_match(boundary)
+
+    def test_nan_alpha_and_special_values(self):
+        # oracle frontiers carry alpha = NaN, which json writes as NaN, not nan
+        boundary = RateRegionBoundary(
+            np.array([5e-324, 1e-05, 1.0, 123456789.0]),
+            np.array([123456789.0, 1.0, 1e-05, 5e-324]),
+            np.array([math.nan, math.inf, -math.inf, 1e-05]),
+            np.array([SEGMENT_PROVEN, SEGMENT_PROVEN, SEGMENT_CONJECTURED, SEGMENT_CONJECTURED]),
+        )
+        assert_writers_match(boundary)
+        text = boundary_to_json(boundary)
+        assert '"alpha": NaN' in text and "nan" not in text
+        assert "\nnan," in boundary_to_csv(boundary)
+
+    def test_single_point(self):
+        assert_writers_match(RateRegionBoundary([0.25], [0.5], [math.nan], [SEGMENT_PROVEN]))
+
+    def test_longer_than_one_block(self):
+        n = 2 * _BLOCK_ROWS + 3
+        r1 = np.linspace(0.0, 1.0, n)
+        segment = np.where(r1 < 0.6, SEGMENT_PROVEN, SEGMENT_CONJECTURED)
+        boundary = RateRegionBoundary(r1, np.sqrt(1.0 - r1**2), r1 / 3.0, segment)
+        assert_writers_match(boundary)
+
+    @pytest.mark.parametrize("name, fam", list(_families()))
+    def test_family_frontiers(self, name, fam):
+        assert_writers_match(inner_boundary(fam, 2001))
+        assert_writers_match(outer_boundary(fam, 2001))
 
 
 class TestExports:
