@@ -1,7 +1,9 @@
 """Erasure-to-strong / symmetric-to-weak binary broadcast pair.
 
-User 1 sees a BEC(tau1), user 2 a BSC(p2), with tau1 < H_b(p2) so that the
-erasure channel dominates for every input law.  The boundary family is
+User 1 sees a BEC(tau1), user 2 a BSC(p2).  The bounds need the pair to be
+more capable, tau1 <= H_b(p2) (Nair 2010), and ``check_c12`` requires the
+strict form through C2 < C1; ``coopbc check-mc`` scans any pair for the
+ordering, and the simulator runs any pair.  The boundary family is
 parameterized by the crossover q of the symmetric satellite layer:
 f1(q) = (1-tau1)*H_b(q), f2(q) = log2 - H_b(p2*q) + c12 on [0, 1/2]
 (* is binary convolution, log2 meaning the value of one bit in the base).
@@ -9,8 +11,8 @@ f1(q) = (1-tau1)*H_b(q), f2(q) = log2 - H_b(p2*q) + c12 on [0, 1/2]
 A caution on parameter ranges: the family contract additionally needs f1+f2
 strictly increasing, which near q = 1/2 amounts to 1 - tau1 > (1 - 2*p2)**2,
 i.e. tau1 < 4*p2*(1-p2).  That bound is NOT implied by tau1 < H_b(p2), so a
-small sliver of channel pairs passes construction here but is rejected by
-the family validation in :mod:`coopbc.regions`.
+small sliver of ordered channel pairs is rejected by the family validation
+in :mod:`coopbc.regions`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ChannelPair, make_bec, make_bsc
 from .numerics import (
     DEFAULT_TOL,
     LogBase,
@@ -35,30 +38,36 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class BecBscBC:
-    """Erasure probability for user 1 and crossover for user 2.
-
-    Requires p2 in [0, 1/2) and 0 <= tau1 < H_b(p2) (in bits), which makes
-    C1 = 1 - tau1 strictly larger than C2 = 1 - H_b(p2) and puts the pair in
-    the more-capable ordering.
-    """
+    """Erasure probability tau1 in [0, 1] for user 1 and crossover p2 in
+    [0, 1/2] for user 2."""
 
     tau1: float
     p2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p2 < 0.5:
-            raise ValueError(f"requires p2 in [0, 1/2), got {self.p2}")
-        hbp2 = binary_entropy(self.p2)
-        if not 0.0 <= self.tau1 < hbp2:
-            raise ValueError(
-                f"requires 0 <= tau1 < H_b(p2) (got tau1={self.tau1}, H_b(p2)={hbp2})"
-            )
+        if not 0.0 <= self.tau1 <= 1.0:
+            raise ValueError(f"erasure probability must lie in [0, 1], got {self.tau1}")
+        if not 0.0 <= self.p2 <= 0.5:
+            raise ValueError(f"crossover must lie in [0, 1/2], got {self.p2}")
 
     def cap1(self, base: LogBase = LogBase.BITS) -> float:
         return (1.0 - self.tau1) * base.one_bit()
 
     def cap2(self, base: LogBase = LogBase.BITS) -> float:
         return base.one_bit() - binary_entropy(self.p2, base)
+
+    def family(self, c12: float, base: LogBase = LogBase.BITS) -> ParametricFamily:
+        return becbsc_family(self, c12, base)
+
+    def threshold(
+        self, c12: float, base: LogBase = LogBase.BITS, tol: Tolerance = DEFAULT_TOL
+    ) -> float:
+        """Threshold crossover, bisected to ``tol``."""
+        return q_threshold(self, c12, base, tol)
+
+    def pair(self) -> ChannelPair:
+        """The two marginal channels as transition matrices (oracle, ordering scan)."""
+        return ChannelPair(make_bec(self.tau1), make_bsc(self.p2))
 
 
 def becbsc_family(

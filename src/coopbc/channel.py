@@ -271,21 +271,21 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> tuple[float, flo
     return x, f(x)
 
 
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of length `parts` summing to `total`,
+    the first coordinate slowest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 def _simplex_lattice(k: int, steps: int) -> np.ndarray:
-    """All probability vectors of length k with coordinates on a grid of 1/steps."""
-    if k == 1:
-        return np.ones((1, 1))
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], steps, k)
-    return np.asarray(rows, dtype=np.float64) / steps
+    """All probability vectors of length k with coordinates on a grid of 1/steps,
+    one per row in the order of ``_compositions``."""
+    return np.array(list(_compositions(steps, k)), dtype=np.float64) / steps
 
 
 def is_more_capable(

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import becbsc as becbsc_mod
-from . import dnfsim, gaussian, oracle, regions
-from .channel import AuxiliaryJoint, ChannelPair, DiscreteChannel, is_more_capable, make_bec, make_bsc
+from . import dnfsim, oracle, regions
+from .becbsc import BecBscBC
+from .channel import AuxiliaryJoint, ChannelPair, DiscreteChannel, is_more_capable
+from .gaussian import GaussianBC
 from .numerics import DEFAULT_TOL, BudgetExceededError, LogBase, Tolerance
 from .regions import _fmt
 
@@ -32,31 +33,13 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-class _Setup:
-    """Channel family, its parametric family factory, and derived constants."""
+FAMILIES = {"gaussian": GaussianBC, "becbsc": BecBscBC}
 
-    def __init__(
-        self, kind: str, params: list[float], base: LogBase, tol: Tolerance = DEFAULT_TOL
-    ):
-        self.kind = kind
-        self.base = base
-        if kind == "gaussian":
-            self.bc = gaussian.GaussianBC(*params)
-            self.family = lambda c12: gaussian.gaussian_family(self.bc, c12, base)
-            self.threshold = lambda c12: gaussian.alpha_th_closed(self.bc, c12, base)
-        elif kind == "becbsc":
-            self.bc = becbsc_mod.BecBscBC(*params)
-            self.family = lambda c12: becbsc_mod.becbsc_family(self.bc, c12, base)
-            self.threshold = lambda c12: becbsc_mod.q_threshold(self.bc, c12, base, tol)
-        else:
-            raise ValueError(f"unknown channel family {kind!r} (use gaussian or becbsc)")
-        self.c1 = self.bc.cap1(base)
-        self.c2 = self.bc.cap2(base)
-
-    def channel_pair(self) -> ChannelPair:
-        if self.kind != "becbsc":
-            raise ValueError("only the becbsc family has a discrete channel pair")
-        return ChannelPair(make_bec(self.bc.tau1), make_bsc(self.bc.p2))
+# channel and default cooperation rates in bits of each figure dataset
+FIGURES = {
+    "fig2": (GaussianBC(5.0, 0.5), (0.0, 0.25, 0.5, 0.75, 1.0)),
+    "fig3": (BecBscBC(0.1, 0.2), (0.0, 0.2, 0.4, 0.6)),
+}
 
 
 def _emit_boundary(path: Path, boundary, fmt: str) -> Path:
@@ -71,13 +54,14 @@ def _emit_boundary(path: Path, boundary, fmt: str) -> Path:
 
 
 def cmd_region(args) -> int:
-    setup = _Setup(args.family, args.params, LogBase(args.base), Tolerance(abs_tol=args.tol))
-    fam = setup.family(args.c12)
-    a_th = setup.threshold(args.c12)
+    base, tol = LogBase(args.base), Tolerance(abs_tol=args.tol)
+    bc = FAMILIES[args.family](*args.params)
+    fam = bc.family(args.c12, base)
+    a_th = bc.threshold(args.c12, base, tol)
     r1_th = fam.f1(a_th)
     out = Path(args.out)
-    print(f"C1 = {_fmt(setup.c1)} {args.base}")
-    print(f"C2 = {_fmt(setup.c2)} {args.base}")
+    print(f"C1 = {_fmt(fam.c1)} {args.base}")
+    print(f"C2 = {_fmt(fam.c2)} {args.base}")
     print(f"alpha_th = {_fmt(a_th)}")
     print(f"r1_th = {_fmt(r1_th)} {args.base}")
     if args.which in ("inner", "both"):
@@ -92,21 +76,21 @@ def cmd_region(args) -> int:
 def cmd_fig(args) -> int:
     which = args.command
     base = LogBase(args.base)
-    if which == "fig2":
-        setup = _Setup("gaussian", [5.0, 0.5], base)
-        default_c12 = [0.0, 0.25, 0.5, 0.75, 1.0]
+    tol = Tolerance(abs_tol=args.tol) if "tol" in args else DEFAULT_TOL
+    bc, default_c12 = FIGURES[which]
+    if args.c12:
+        c12_list = [float(v) for v in args.c12.split(",")]
     else:
-        setup = _Setup("becbsc", [0.1, 0.2], base, Tolerance(abs_tol=args.tol))
-        default_c12 = [0.0, 0.2, 0.4, 0.6]
-    c12_list = [float(v) for v in args.c12.split(",")] if args.c12 else default_c12
+        c12_list = [c12 * base.one_bit() for c12 in default_c12]
+    # every rate is checked before the first file is written
+    families = [bc.family(c12, base) for c12 in c12_list]
     out = Path(args.out)
     diamonds = ["c12,r1,r2"]
-    for c12 in c12_list:
-        fam = setup.family(c12)
+    for c12, fam in zip(c12_list, families):
         boundary = regions.inner_boundary(fam, args.grid)
         p = _emit_boundary(out / f"{which}_c12_{_fmt(c12)}", boundary, args.format)
-        r1_th = fam.f1(setup.threshold(c12))
-        diamonds.append(f"{_fmt(c12)},{_fmt(r1_th)},{_fmt(setup.c1 - r1_th)}")
+        r1_th = fam.f1(bc.threshold(c12, base, tol))
+        diamonds.append(f"{_fmt(c12)},{_fmt(r1_th)},{_fmt(fam.c1 - r1_th)}")
         print(f"wrote {p}")
     _write(out / "diamonds.csv", "\n".join(diamonds) + "\n")
     print(f"wrote {out / 'diamonds.csv'}")
@@ -118,8 +102,7 @@ def _load_pair(args) -> ChannelPair:
         ch1 = DiscreteChannel.from_json(Path(args.params_raw[0]).read_text())
         ch2 = DiscreteChannel.from_json(Path(args.params_raw[1]).read_text())
         return ChannelPair(ch1, ch2)
-    setup = _Setup(args.family, args.params, LogBase(args.base))
-    return setup.channel_pair()
+    return BecBscBC(*args.params).pair()
 
 
 def cmd_check_mc(args) -> int:
@@ -137,10 +120,10 @@ def cmd_check_mc(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     base = LogBase(args.base)
-    setup = _Setup("becbsc", args.params, base)
-    pair = setup.channel_pair()
+    bc = BecBscBC(*args.params)
+    pair = bc.pair()
     spec = oracle.GridSpec(steps=args.steps, u_cardinality=args.u_size)
-    fam = setup.family(args.c12)
+    fam = bc.family(args.c12, base)
     t0 = time.perf_counter()
     grid_inner, grid_outer = oracle.oracle_both(pair, args.c12, spec, base, threads=args.threads)
     runtime = time.perf_counter() - t0
@@ -175,15 +158,16 @@ def cmd_oracle_compare(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    setup = _Setup(args.family, args.params, LogBase(args.base))
-    tol = Tolerance(abs_tol=args.tol)
+    base, tol = LogBase(args.base), Tolerance(abs_tol=args.tol)
+    bc = FAMILIES[args.family](*args.params)
+    c1, c2 = bc.cap1(base), bc.cap2(base)
     if args.c12:
         grid = [float(v) for v in args.c12.split(",")]
     else:
-        grid = list(np.linspace(0.0, setup.c1 - setup.c2, args.points))
-    rows = regions.sweep_thresholds(setup.family, grid, tol)
+        grid = list(np.linspace(0.0, c1 - c2, args.points))
+    rows = regions.sweep_thresholds(lambda c12: bc.family(c12, base), grid, tol)
     out = Path(args.out) / "thresholds.csv"
-    _write(out, regions.thresholds_to_csv(rows, setup.c1))
+    _write(out, regions.thresholds_to_csv(rows, c1))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -192,25 +176,14 @@ def cmd_simulate(args) -> int:
     # code sizes are 2**(n*r): the simulator's rates are always in bits
     if args.base != "bits":
         raise ValueError(f"simulate takes rates in bits, not --base {args.base}")
-    if args.family == "becbsc":
-        channels = dnfsim.BecBsc(*args.params)
-        if not args.input_law:
-            raise ValueError("becbsc simulation requires --input-law JSON")
+    channels = FAMILIES[args.family](*args.params)
+    law = None
+    if args.input_law:
         law = AuxiliaryJoint.from_dict(json.loads(Path(args.input_law).read_text()))
-        cfg = dnfsim.CodeConfig(
-            n=args.n, r1=args.r1, r2=args.r2, c12=args.c12, seed=args.seed,
-            input_law=law, codeword_budget=args.codeword_budget,
-        )
-    elif args.family == "gaussian":
-        channels = dnfsim.Gaussian(*args.params)
-        if args.power_split is None:
-            raise ValueError("gaussian simulation requires --power-split")
-        cfg = dnfsim.CodeConfig(
-            n=args.n, r1=args.r1, r2=args.r2, c12=args.c12, seed=args.seed,
-            power_split=args.power_split, codeword_budget=args.codeword_budget,
-        )
-    else:
-        raise ValueError(f"unknown channel family {args.family!r}")
+    cfg = dnfsim.CodeConfig(
+        n=args.n, r1=args.r1, r2=args.r2, c12=args.c12, seed=args.seed, input_law=law,
+        power_split=args.power_split, codeword_budget=args.codeword_budget,
+    )
     report = dnfsim.simulate(cfg, channels, args.trials, threads=args.threads)
     out = Path(args.out)
     _write(out / "report.json", report.to_json() + "\n")
@@ -276,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("region", help="inner/outer boundary for one cooperation rate")
-    p.add_argument("family", choices=["gaussian", "becbsc"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("params", type=float, nargs=2, help="s1 s2 (gaussian) or tau1 p2 (becbsc)")
     p.add_argument("--c12", type=float, required=True)
     p.add_argument("--which", choices=["inner", "outer", "both"], default="both")
@@ -290,11 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser("check-mc", help="scan for a violation of the channel ordering")
-    p.add_argument("family", choices=["gaussian", "becbsc", "json"])
-    p.add_argument(
-        "params_raw", nargs=2,
-        help="tau1 p2 (becbsc), s1 s2 (gaussian), or two channel-matrix JSON paths",
-    )
+    p.add_argument("family", choices=["becbsc", "json"])
+    p.add_argument("params_raw", nargs=2, help="tau1 p2 (becbsc) or two channel-matrix JSON paths")
     p.add_argument("--resolution", type=int, default=10_000)
     _add_common(p, tol="slack below zero allowed in the ordering gap")
     p.set_defaults(func=cmd_check_mc)
@@ -310,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("sweep", help="threshold table over a cooperation-rate grid")
-    p.add_argument("family", choices=["gaussian", "becbsc"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("params", type=float, nargs=2)
     p.add_argument("--c12", default="", help="comma-separated grid (default: linspace)")
     p.add_argument("--points", type=int, default=50)
@@ -318,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the layered coding scheme")
-    p.add_argument("--channel", choices=["becbsc", "gaussian"], required=True, dest="family")
+    p.add_argument("--channel", choices=list(FAMILIES), required=True, dest="family")
     p.add_argument("--params", type=float, nargs=2, required=True,
                    help="tau1 p2 (becbsc) or s1 s2 (gaussian)")
     p.add_argument("--n", type=int, required=True)

@@ -17,44 +17,22 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import _accel
+from .becbsc import BecBscBC
 from .channel import AuxiliaryJoint
+from .gaussian import GaussianBC
 from .numerics import BudgetExceededError
 
 _ERASURE = 2  # output symbol index for the erased position
 
 
-@dataclass(frozen=True)
-class BecBsc:
-    """Erasure channel to user 1, symmetric flip channel to user 2."""
-
-    tau1: float
-    p2: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau1 <= 1.0:
-            raise ValueError(f"erasure probability must lie in [0, 1], got {self.tau1}")
-        if not 0.0 <= self.p2 <= 0.5:
-            raise ValueError(f"crossover must lie in [0, 1/2], got {self.p2}")
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Unit-noise additive channels with per-user SNR scaling."""
-
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        if not (self.s1 > 0 and self.s2 > 0):
-            raise ValueError(f"SNRs must be positive, got s1={self.s1}, s2={self.s2}")
-
-
-ChannelFamily = Union[BecBsc, Gaussian]
+# older names of the two family classes, still built by perfbench/workloads.py
+BecBsc = BecBscBC
+Gaussian = GaussianBC
 
 
 @dataclass(frozen=True)
@@ -268,7 +246,7 @@ def _draw_trials_gaussian(cfg: CodeConfig, trials: int):
 
 def simulate(
     cfg: CodeConfig,
-    channels: ChannelFamily,
+    channels: BecBscBC | GaussianBC,
     trials: int,
     threads: int = 1,
 ) -> SimReport:
@@ -281,20 +259,29 @@ def simulate(
     user 2 decode over the cloud centers of that bin.  Discrete decoding
     uses integer mismatch penalties (exact ties, first-index tie-break);
     Gaussian decoding uses squared distance.
+
+    The channel pair need not be ordered: either receiver may be the
+    stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if isinstance(channels, BecBscBC):
+        if cfg.input_law is None:
+            raise ValueError("discrete channels require a discrete input law")
+        if cfg.input_law.x_size != 2:
+            raise ValueError("the erasure/flip family expects a binary input alphabet")
+    elif isinstance(channels, GaussianBC):
+        if cfg.power_split is None:
+            raise ValueError("Gaussian channels require a power-split input law")
+    else:
+        raise ValueError(f"unsupported channel family: {channels!r}")
     book = build_superposition_codebook(cfg)
     bins = bin_assignment(cfg)
     cand_flat, cand_start, cand_count = _bin_members(bins, int(bins[-1]) + 1)
     nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     sat_flat = np.ascontiguousarray(book.satellites.reshape(nu1 * nu2, n))
 
-    if isinstance(channels, BecBsc):
-        if not book.discrete:
-            raise ValueError("discrete channels require a discrete input law")
-        if cfg.input_law.x_size != 2:
-            raise ValueError("the erasure/flip family expects a binary input alphabet")
+    if book.discrete:
         m1, m2, u_erase, u_flip = _draw_trials_discrete(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         y1 = np.where(u_erase < channels.tau1, _ERASURE, x).astype(np.int8)
@@ -316,9 +303,7 @@ def simulate(
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
 
-    elif isinstance(channels, Gaussian):
-        if book.discrete:
-            raise ValueError("Gaussian channels require a power-split input law")
+    else:
         m1, m2, z1, z2 = _draw_trials_gaussian(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
@@ -333,9 +318,6 @@ def simulate(
                 clouds, root_s2, y2[sl], cand_flat, cand_start, cand_count, bins[m2_hat_u1]
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
-
-    else:
-        raise ValueError(f"unsupported channel family: {channels!r}")
 
     if threads > 1:
         bounds = np.linspace(0, trials, threads + 1).astype(int)

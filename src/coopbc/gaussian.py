@@ -1,12 +1,15 @@
 """Closed forms for the scalar Gaussian broadcast pair with receiver cooperation.
 
-User k observes sqrt(s_k)*X + Z_k with unit-variance noise, s1 > s2 > 0.
-The boundary family is parameterized by the share of input power carried by
-the private layer: f1(a) = cap(a*s1), f2(a) = C2 + c12 - cap(a*s2) on [0, 1].
+User k observes sqrt(s_k)*X + Z_k with unit-variance noise.  The bounds need
+user 1 to be the stronger receiver, s1 > s2, which ``check_c12`` checks as
+C2 < C1; the simulator runs any pair of positive SNRs.  The boundary family
+is parameterized by the share of input power carried by the private layer:
+f1(a) = cap(a*s1), f2(a) = C2 + c12 - cap(a*s2) on [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .numerics import DEFAULT_TOL, LogBase, Tolerance, gaussian_cap, gaussian_cap_inv
@@ -17,20 +20,29 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class GaussianBC:
-    """SNR pair of the two marginal channels; user 1 is the stronger receiver."""
+    """SNR pair of the two marginal channels, each finite and positive."""
 
     s1: float
     s2: float
 
     def __post_init__(self):
-        if not self.s1 > self.s2 > 0:
-            raise ValueError(f"requires s1 > s2 > 0, got s1={self.s1}, s2={self.s2}")
+        if not all(math.isfinite(s) and s > 0 for s in (self.s1, self.s2)):
+            raise ValueError(f"SNRs must be finite and positive, got s1={self.s1}, s2={self.s2}")
 
     def cap1(self, base: LogBase = LogBase.BITS) -> float:
         return gaussian_cap(self.s1, base)
 
     def cap2(self, base: LogBase = LogBase.BITS) -> float:
         return gaussian_cap(self.s2, base)
+
+    def family(self, c12: float, base: LogBase = LogBase.BITS) -> ParametricFamily:
+        return gaussian_family(self, c12, base)
+
+    def threshold(
+        self, c12: float, base: LogBase = LogBase.BITS, tol: Tolerance = DEFAULT_TOL
+    ) -> float:
+        """Threshold power split; closed-form, so ``tol`` is not used."""
+        return alpha_th_closed(self, c12, base)
 
 
 def gaussian_family(
@@ -72,7 +84,6 @@ def r2star_closed(
     c12: float,
     r1: float,
     base: LogBase = LogBase.BITS,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Best r2 at rate r1 in closed form: C2 + C12 - cap(capinv(r1) * s2/s1).
 

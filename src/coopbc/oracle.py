@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelPair, capacity, _mi_batch_nats, _xlogx
+from .channel import (
+    ChannelPair,
+    _compositions,
+    _mi_batch_nats,
+    _simplex_lattice,
+    _xlogx,
+    capacity,
+)
 from .numerics import BudgetExceededError, LogBase
 from .regions import (
     SEGMENT_CONJECTURED,
@@ -49,16 +56,6 @@ class GridSpec:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.eval_budget < 1:
             raise ValueError("eval_budget must be positive")
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length `parts` summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -152,7 +149,7 @@ def _scan_corners(
     m = spec.u_cardinality
     trans1 = pair.ch1.transitions
     scale = base.ln_scale
-    comps = [np.array(c, dtype=np.float64) / spec.steps for c in _compositions(spec.steps, m)]
+    comps = _simplex_lattice(m, spec.steps)
 
     if pair.input_size > 2:
         warnings.warn(
@@ -160,10 +157,7 @@ def _scan_corners(
             "grows combinatorially, keep steps small",
             stacklevel=3,
         )
-    row_grid = np.array(
-        [np.array(c, dtype=np.float64) / spec.steps
-         for c in _compositions(spec.steps, pair.input_size)]
-    )
+    row_grid = _simplex_lattice(pair.input_size, spec.steps)
     rows_mi1, rows_py2, rows_h2 = _row_tables(row_grid, trans1, pair.ch2.transitions)
 
     def scan_chunk(p_u):

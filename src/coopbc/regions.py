@@ -92,8 +92,17 @@ def _on_grid(f: Callable, grid: np.ndarray) -> np.ndarray:
 
 
 def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
-    """(C1, C2) of a channel pair with ``cap1``/``cap2``, once 0 <= c12 <= C1 - C2."""
+    """(C1, C2) of a channel pair with ``cap1``/``cap2``, once 0 < C2 < C1 and
+    0 <= c12 <= C1 - C2.
+
+    This is the one place the ordering the bounds assume is checked: user 1
+    must be the strictly stronger receiver and user 2's channel must carry
+    something.  For the Gaussian pair this is s1 > s2 > 0, for the BEC/BSC
+    pair p2 < 1/2 and tau1 < H_b(p2).
+    """
     c1, c2 = bc.cap1(base), bc.cap2(base)
+    if not 0.0 < c2 < c1:
+        raise ValueError(f"requires 0 < C2 < C1 (got C1={c1}, C2={c2} for {bc})")
     if not -_C12_SLACK <= c12 <= c1 - c2 + _C12_SLACK:
         raise ValueError(
             f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"

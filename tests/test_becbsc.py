@@ -11,6 +11,7 @@ from coopbc.becbsc import (
     r1_th,
     r2star_closed,
 )
+from coopbc.channel import make_bec, make_bsc
 from coopbc.numerics import (
     LogBase,
     binary_convolution,
@@ -50,11 +51,36 @@ class TestBecBscBC:
         assert C2 == pytest.approx(1.0 - binary_entropy(0.2), abs=1e-15)
 
     def test_ordering_constraint(self):
-        with pytest.raises(ValueError):
-            BecBscBC(0.8, 0.2)  # tau1 >= H_b(p2)
-        with pytest.raises(ValueError):
-            BecBscBC(0.1, 0.5)  # p2 out of range
-        BecBscBC(0.0, 0.2)
+        # unordered pairs are channels (check-mc and the simulator take them),
+        # but every bounds entry point refuses them
+        unordered = (BecBscBC(0.8, 0.2), BecBscBC(0.1, 0.5))  # tau1 >= H_b(p2); C2 = 0
+        for bc in unordered:
+            for bound in (
+                lambda: becbsc_family(bc, 0.0),
+                lambda: q_threshold(bc, 0.0),
+                lambda: r1_th(bc, 0.0),
+                lambda: r2star_closed(bc, 0.0, 0.0),
+                lambda: bc.family(0.0),
+                lambda: bc.threshold(0.0),
+            ):
+                with pytest.raises(ValueError, match="0 < C2 < C1"):
+                    bound()
+        becbsc_family(BecBscBC(0.0, 0.2), 0.0)
+
+    @pytest.mark.parametrize(
+        "tau1, p2", [(1.2, 0.1), (-0.1, 0.2), (0.1, 0.6), (0.1, -0.1),
+                     (math.nan, 0.2), (0.1, math.nan), (math.inf, 0.2), (0.1, math.inf)],
+    )
+    def test_parameter_ranges(self, tau1, p2):
+        with pytest.raises(ValueError, match="must lie in"):
+            BecBscBC(tau1, p2)
+
+    def test_methods_call_the_module_functions(self):
+        assert BC.family(0.2).f2(0.1) == becbsc_family(BC, 0.2).f2(0.1)
+        assert BC.threshold(0.2) == q_threshold(BC, 0.2)
+        pair = BC.pair()
+        assert np.array_equal(pair.ch1.transitions, make_bec(0.1).transitions)
+        assert np.array_equal(pair.ch2.transitions, make_bsc(0.2).transitions)
 
     def test_nonmonotone_sliver_rejected_by_family(self):
         # passes the ordering test but breaks the strict-increase contract

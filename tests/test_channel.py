@@ -8,6 +8,8 @@ from coopbc.channel import (
     ChannelPair,
     DiscreteChannel,
     InputDistribution,
+    _compositions,
+    _simplex_lattice,
     capacity,
     conditional_informations,
     is_more_capable,
@@ -160,6 +162,16 @@ class TestMoreCapable:
         weak = DiscreteChannel(rng.dirichlet(np.ones(3), size=3))
         assert is_more_capable(ChannelPair(strong, weak)).holds
         assert not is_more_capable(ChannelPair(weak, strong)).holds
+
+
+class TestSimplexLattice:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_are_the_compositions_over_steps(self, k):
+        # the per-composition division the oracle used to build its grids
+        ref = np.array([np.array(c, dtype=np.float64) / 12 for c in _compositions(12, k)])
+        got = _simplex_lattice(k, 12)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert np.allclose(got.sum(axis=1), 1.0)
 
 
 class TestConditionalInformations:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from coopbc.channel import AuxiliaryJoint, make_bec, make_bsc
 from coopbc.cli import build_parser, main
 from coopbc.regions import boundary_from_csv, boundary_from_json
+
+# channel pairs that exist but are not ordered as the bounds need (C2 < C1)
+UNORDERED = [("gaussian", 0.5, 5.0), ("becbsc", 0.8, 0.2), ("becbsc", 0.1, 0.5)]
 
 
 def run(args):
@@ -69,6 +73,24 @@ class TestFig:
 
     def test_fig2_rejects_overlarge_c12(self, tmp_path):
         assert run(["fig2", "--c12", "2.0", "--out", tmp_path]) == 2
+        # every rate is checked before the first file is written
+        assert run(["fig2", "--c12", "0,2.0", "--out", tmp_path]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("which, count", [("fig2", 5), ("fig3", 4)])
+    def test_default_rates_in_nats(self, tmp_path, which, count):
+        # the default rates are bit values, scaled into the run's base
+        diamonds = {}
+        for base in ("bits", "nats"):
+            out = tmp_path / base
+            assert run([which, "--base", base, "--grid", 101, "--out", out]) == 0
+            assert len(list(out.glob(f"{which}_c12_*.csv"))) == count
+            rows = (out / "diamonds.csv").read_text().strip().split("\n")[1:]
+            diamonds[base] = np.array([[float(v) for v in row.split(",")] for row in rows])
+        bits, nats = diamonds["bits"], diamonds["nats"]
+        assert nats == pytest.approx(bits * np.log(2), abs=1e-9)
+        c1 = bits[0, 1] * np.log(2)  # at c12 = 0 the diamond is (C1, 0)
+        assert nats[:, 1] + nats[:, 2] == pytest.approx(np.full(count, c1), abs=1e-9)
 
 
 class TestCheckMc:
@@ -93,6 +115,21 @@ class TestCheckMc:
 
     def test_bad_params(self):
         assert run(["check-mc", "becbsc", "zero", "och"]) == 2
+
+    def test_unordered_pair_reported_violated(self, capsys):
+        assert run(["check-mc", "becbsc", 0.8, 0.2]) == 1
+        assert "violated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("params", [(0, 0), (0.1, 0.5)])
+    def test_equal_or_useless_weak_channel_holds(self, params, capsys):
+        assert run(["check-mc", "becbsc", *params]) == 0
+        assert "holds" in capsys.readouterr().out
+
+    def test_gaussian_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check-mc", "gaussian", 5, 0.5])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("resolution", [0, -3])
     def test_resolution_below_one_rejected(self, resolution, capsys):
@@ -228,6 +265,80 @@ class TestSimulate:
                     "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2,
                     "--trials", 50, "--out", tmp_path])
         assert code == 2
+
+    def test_becbsc_rejects_power_split(self, tmp_path, capsys):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                    "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 50,
+                    "--input-law", law, "--power-split", 0.5, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_gaussian_rejects_input_law(self, tmp_path, capsys):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "gaussian", "--params", 5, 0.5,
+                    "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 50,
+                    "--input-law", law, "--power-split", 0.5, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("family, a, b", UNORDERED)
+    def test_unordered_pair_runs(self, tmp_path, family, a, b):
+        law = ["--input-law", self.law_file(tmp_path)] if family == "becbsc" else []
+        split = ["--power-split", 0.5] if family == "gaussian" else []
+        code = run(["simulate", "--channel", family, "--params", a, b,
+                    "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 20,
+                    *law, *split, "--out", tmp_path])
+        assert code == 0
+
+
+class TestUnorderedPairs:
+    @pytest.mark.parametrize("family, a, b", UNORDERED)
+    def test_bounds_commands_exit_2(self, tmp_path, capsys, family, a, b):
+        commands = [["region", family, a, b, "--c12", 0.0], ["sweep", family, a, b]]
+        if family == "becbsc":
+            commands.append(["oracle-compare", family, a, b, "--c12", 0.0, "--steps", 4])
+        for argv in commands:
+            assert run(argv + ["--out", tmp_path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "0 < C2 < C1" in err
+        assert not any(tmp_path.iterdir())
+
+
+NON_FINITE_ARGV = {
+    "region": lambda family, params, law: ["region", family, *params, "--c12", 0.1],
+    "sweep": lambda family, params, law: ["sweep", family, *params, "--points", 3],
+    "simulate": lambda family, params, law: [
+        "simulate", "--channel", family, "--params", *params, "--n", 8, "--r1", 0.2,
+        "--r2", 0.2, "--c12", 0.2, "--trials", 5,
+        *(["--input-law", law] if family == "becbsc" else ["--power-split", 0.5]),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
+@pytest.mark.parametrize("family, params, slot", [
+    ("gaussian", (5.0, 0.5), 0), ("gaussian", (5.0, 0.5), 1),
+    ("becbsc", (0.1, 0.2), 0), ("becbsc", (0.1, 0.2), 1),
+])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_channel_parameter_exits_2(tmp_path, capsys, command, family, params,
+                                              slot, value):
+    law = TestSimulate().law_file(tmp_path)
+    params = [repr(p) for p in params]
+    params[slot] = value
+    argv = NON_FINITE_ARGV[command](family, params, law) + ["--out", tmp_path / "out"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
 
 
 SUBCOMMAND_ARGV = {

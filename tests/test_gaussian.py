@@ -22,10 +22,30 @@ class TestGaussianBC:
         assert C2 == pytest.approx(0.2924812503605781, abs=1e-14)
 
     def test_ordering_required(self):
-        with pytest.raises(ValueError):
-            GaussianBC(0.5, 5.0)
+        # unordered pairs are channels (the simulator takes them), but every
+        # bounds entry point refuses them
+        for bc in (GaussianBC(0.5, 5.0), GaussianBC(1.0, 1.0)):
+            for bound in (
+                lambda: gaussian_family(bc, 0.0),
+                lambda: alpha_th_closed(bc, 0.0),
+                lambda: r1_th_closed(bc, 0.0),
+                lambda: r2star_closed(bc, 0.0, 0.0),
+                lambda: bc.family(0.0),
+                lambda: bc.threshold(0.0),
+            ):
+                with pytest.raises(ValueError, match="0 < C2 < C1"):
+                    bound()
         with pytest.raises(ValueError):
             GaussianBC(1.0, 0.0)
+
+    @pytest.mark.parametrize("snrs", [(np.inf, 0.5), (5.0, np.inf), (np.nan, 0.5), (5.0, np.nan)])
+    def test_non_finite_snr_rejected(self, snrs):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBC(*snrs)
+
+    def test_methods_call_the_module_functions(self):
+        assert BC.family(0.5).f2(0.25) == gaussian_family(BC, 0.5).f2(0.25)
+        assert BC.threshold(0.5) == alpha_th_closed(BC, 0.5)
 
 
 class TestFamily:
