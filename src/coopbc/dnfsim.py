@@ -265,23 +265,17 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if isinstance(channels, BecBscBC):
-        if cfg.input_law is None:
-            raise ValueError("discrete channels require a discrete input law")
-        if cfg.input_law.x_size != 2:
-            raise ValueError("the erasure/flip family expects a binary input alphabet")
-    elif isinstance(channels, GaussianBC):
-        if cfg.power_split is None:
-            raise ValueError("Gaussian channels require a power-split input law")
-    else:
-        raise ValueError(f"unsupported channel family: {channels!r}")
     book = build_superposition_codebook(cfg)
     bins = bin_assignment(cfg)
     cand_flat, cand_start, cand_count = _bin_members(bins, int(bins[-1]) + 1)
     nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     sat_flat = np.ascontiguousarray(book.satellites.reshape(nu1 * nu2, n))
 
-    if book.discrete:
+    if isinstance(channels, BecBscBC):
+        if not book.discrete:
+            raise ValueError("discrete channels require a discrete input law")
+        if cfg.input_law.x_size != 2:
+            raise ValueError("the erasure/flip family expects a binary input alphabet")
         m1, m2, u_erase, u_flip = _draw_trials_discrete(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         y1 = np.where(u_erase < channels.tau1, _ERASURE, x).astype(np.int8)
@@ -303,7 +297,9 @@ def simulate(
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
 
-    else:
+    elif isinstance(channels, GaussianBC):
+        if book.discrete:
+            raise ValueError("Gaussian channels require a power-split input law")
         m1, m2, z1, z2 = _draw_trials_gaussian(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
@@ -318,6 +314,9 @@ def simulate(
                 clouds, root_s2, y2[sl], cand_flat, cand_start, cand_count, bins[m2_hat_u1]
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
+
+    else:
+        raise ValueError(f"unsupported channel family: {channels!r}")
 
     if threads > 1:
         bounds = np.linspace(0, trials, threads + 1).astype(int)

@@ -205,7 +205,7 @@ def test_criterion_8_simulator_trends():
     top = becbsc_mod.r1_th(BBC, c12)
     c1 = BBC.cap1()
     law = AuxiliaryJoint(np.array([0.5, 0.5]), np.array([[1 - qth, qth], [qth, 1 - qth]]))
-    chan = dnfsim.BecBsc(0.1, 0.2)
+    chan = becbsc_mod.BecBscBC(0.1, 0.2)
     failures = []
 
     # achievable side: user 2 error nonincreasing in blocklength (within CIs)

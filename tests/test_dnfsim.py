@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from coopbc.becbsc import BecBscBC
 from coopbc.channel import AuxiliaryJoint
 from coopbc.dnfsim import (
-    BecBsc,
     BudgetExceededError,
     CodeConfig,
-    Gaussian,
     SimReport,
     bin_assignment,
     build_superposition_codebook,
     simulate,
 )
+from coopbc.gaussian import GaussianBC
 
 UNIFORM_LAW = AuxiliaryJoint(np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.5, 0.5]]))
 
@@ -59,11 +59,11 @@ class TestCodeConfig:
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):
-            BecBsc(1.2, 0.1)
+            BecBscBC(1.2, 0.1)
         with pytest.raises(ValueError):
-            BecBsc(0.1, 0.6)
+            BecBscBC(0.1, 0.6)
         with pytest.raises(ValueError):
-            Gaussian(0.0, 1.0)
+            GaussianBC(0.0, 1.0)
 
 
 class TestBinAssignment:
@@ -148,21 +148,21 @@ class TestSimulate:
         book = build_superposition_codebook(cfg)
         flat = book.satellites.reshape(cfg.nu1 * cfg.nu2, cfg.n)
         assert len(np.unique(flat, axis=0)) == flat.shape[0]
-        report = simulate(cfg, BecBsc(0.0, 0.0), 400)
+        report = simulate(cfg, BecBscBC(0.0, 0.0), 400)
         assert report.error_events == 0
 
     def test_reproducible(self):
         cfg = CodeConfig(n=12, r1=0.3, r2=0.25, c12=0.2, seed=7,
                          input_law=symmetric_law(0.16))
-        a = simulate(cfg, BecBsc(0.1, 0.2), 1500)
-        b = simulate(cfg, BecBsc(0.1, 0.2), 1500)
+        a = simulate(cfg, BecBscBC(0.1, 0.2), 1500)
+        b = simulate(cfg, BecBscBC(0.1, 0.2), 1500)
         assert a == b
 
     def test_threads_match_serial(self):
         cfg = CodeConfig(n=12, r1=0.3, r2=0.25, c12=0.2, seed=8,
                          input_law=symmetric_law(0.16))
-        serial = simulate(cfg, BecBsc(0.1, 0.2), 1200)
-        threaded = simulate(cfg, BecBsc(0.1, 0.2), 1200, threads=4)
+        serial = simulate(cfg, BecBscBC(0.1, 0.2), 1200)
+        threaded = simulate(cfg, BecBscBC(0.1, 0.2), 1200, threads=4)
         assert serial == threaded
 
     def test_link_wider_than_the_float_range_runs(self):
@@ -171,14 +171,14 @@ class TestSimulate:
         def report(c12):
             cfg = CodeConfig(n=64, r1=2 / 64, r2=2 / 64, c12=c12, seed=4,
                              input_law=symmetric_law(0.16))
-            return simulate(cfg, BecBsc(0.6, 0.3), 300)
+            return simulate(cfg, BecBscBC(0.6, 0.3), 300)
 
         assert report(20.0) == report(2 / 64)
 
     def test_gaussian_runs_and_reproduces(self):
         cfg = CodeConfig(n=10, r1=0.3, r2=0.2, c12=0.2, seed=9, power_split=0.6)
-        a = simulate(cfg, Gaussian(5.0, 0.5), 800)
-        b = simulate(cfg, Gaussian(5.0, 0.5), 800)
+        a = simulate(cfg, GaussianBC(5.0, 0.5), 800)
+        b = simulate(cfg, GaussianBC(5.0, 0.5), 800)
         assert a == b
         assert 0.0 <= a.p_e_estimate <= 1.0
 
@@ -187,11 +187,11 @@ class TestSimulate:
         law = symmetric_law(0.16)
         with_link = simulate(
             CodeConfig(n=12, r1=0.25, r2=0.2, c12=0.2, seed=10, input_law=law),
-            BecBsc(0.1, 0.2), 4000,
+            BecBscBC(0.1, 0.2), 4000,
         )
         without = simulate(
             CodeConfig(n=12, r1=0.25, r2=0.2, c12=0.0, seed=10, input_law=law),
-            BecBsc(0.1, 0.2), 4000,
+            BecBscBC(0.1, 0.2), 4000,
         )
         slack = 2 * (with_link.user2_half_width + without.user2_half_width)
         assert with_link.user2_error_rate <= without.user2_error_rate + slack
@@ -202,7 +202,7 @@ class TestSimulate:
         cfg = CodeConfig(n=16, r1=0.125, r2=0.25, c12=0.125, seed=11,
                          input_law=symmetric_law(0.25))
         assert cfg.bin_size == 4
-        report = simulate(cfg, BecBsc(0.0, 0.5), 4000)
+        report = simulate(cfg, BecBscBC(0.0, 0.5), 4000)
         expect = 1.0 - 1.0 / cfg.bin_size
         sigma = np.sqrt(expect * (1 - expect) / 4000)
         assert abs(report.user2_error_rate - expect) <= 3 * sigma
@@ -210,12 +210,12 @@ class TestSimulate:
     def test_beyond_sum_capacity_fails_hard(self):
         law = symmetric_law(0.16)
         cfg = CodeConfig(n=12, r1=0.7, r2=0.38, c12=0.2, seed=12, input_law=law)
-        report = simulate(cfg, BecBsc(0.1, 0.2), 1500)
+        report = simulate(cfg, BecBscBC(0.1, 0.2), 1500)
         assert report.p_e_estimate >= 0.3
 
     def test_report_json_fields(self):
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=13, input_law=UNIFORM_LAW)
-        report = simulate(cfg, BecBsc(0.1, 0.2), 200)
+        report = simulate(cfg, BecBscBC(0.1, 0.2), 200)
         as_json = report.to_json()
         for key in ("trials", "user1_joint_errors", "user2_errors", "p_e_estimate"):
             assert key in as_json
@@ -223,12 +223,12 @@ class TestSimulate:
     def test_trials_validation(self):
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=14, input_law=UNIFORM_LAW)
         with pytest.raises(ValueError):
-            simulate(cfg, BecBsc(0.1, 0.2), 0)
+            simulate(cfg, BecBscBC(0.1, 0.2), 0)
 
     def test_law_channel_mismatch(self):
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=15, power_split=0.5)
         with pytest.raises(ValueError):
-            simulate(cfg, BecBsc(0.1, 0.2), 10)
+            simulate(cfg, BecBscBC(0.1, 0.2), 10)
 
 
 class TestSimReport:
