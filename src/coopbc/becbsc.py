@@ -31,9 +31,7 @@ from .numerics import (
     binary_entropy_inv,
     bisect_monotone,
 )
-from .regions import ParametricFamily, check_c12
-
-_SLACK = 1e-9
+from .regions import ParametricFamily, check_c12, check_r1
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,7 @@ def r2star_closed(
     The entropy inverse reuses the shared bisection so this closed form and
     the parametric route round identically.  Valid up to the threshold rate.
     """
-    c1, c2 = check_c12(bc, c12, base)
-    top = r1_th(bc, c12, base, tol)
-    if not -_SLACK <= r1 <= top + _SLACK:
-        raise ValueError(f"r1 must lie in [0, {top}], got {r1}")
-    r1 = max(r1, 0.0)
+    r1 = check_r1(r1, r1_th(bc, c12, base, tol))
     q = binary_entropy_inv(r1 / (1.0 - bc.tau1), base, tol)
     return (
         base.one_bit()

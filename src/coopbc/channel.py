@@ -25,14 +25,26 @@ def _xlogx(a: np.ndarray) -> np.ndarray:
         return np.where(a > 0.0, a * np.log(a), 0.0)
 
 
+def _json_fields(d, what: str, arrays: tuple, sizes: tuple) -> list:
+    """The float arrays under ``arrays`` and the values under ``sizes`` of a
+    decoded JSON object that describes ``what``."""
+    try:
+        return [np.asarray(d[k], dtype=np.float64) for k in arrays] + [d[k] for k in sizes]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"{what} must be a JSON object with numeric {', '.join(arrays + sizes)}"
+        ) from None
+
+
 def _validate_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"{what} must be a 2-D matrix, got shape {mat.shape}")
-    if np.any(mat < -_ROW_SUM_TOL) or np.any(mat > 1.0 + _ROW_SUM_TOL):
+    # written so that a NaN entry fails every check
+    if not np.all((mat >= -_ROW_SUM_TOL) & (mat <= 1.0 + _ROW_SUM_TOL)):
         raise ValueError(f"{what} entries must lie in [0, 1]")
     rowsums = mat.sum(axis=1)
-    if np.any(np.abs(rowsums - 1.0) > _ROW_SUM_TOL):
+    if not np.all(np.abs(rowsums - 1.0) <= _ROW_SUM_TOL):
         raise ValueError(f"{what} rows must sum to 1 within {_ROW_SUM_TOL}")
     mat = np.clip(mat, 0.0, 1.0)
     mat.flags.writeable = False
@@ -70,8 +82,11 @@ class DiscreteChannel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteChannel":
-        ch = cls(np.asarray(d["rows"], dtype=np.float64))
-        if ch.input_size != d["input_size"] or ch.output_size != d["output_size"]:
+        rows, input_size, output_size = _json_fields(
+            d, "a channel", ("rows",), ("input_size", "output_size")
+        )
+        ch = cls(rows)
+        if ch.input_size != input_size or ch.output_size != output_size:
             raise ValueError("declared sizes do not match the row matrix")
         return ch
 
@@ -108,7 +123,7 @@ class InputDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("input distribution must be a vector")
-        if np.any(p < -_ROW_SUM_TOL) or abs(p.sum() - 1.0) > _ROW_SUM_TOL:
+        if not (np.all(p >= -_ROW_SUM_TOL) and abs(p.sum() - 1.0) <= _ROW_SUM_TOL):
             raise ValueError("input distribution must be nonnegative and sum to 1")
         p = np.clip(p, 0.0, 1.0)
         p.flags.writeable = False
@@ -124,7 +139,8 @@ class AuxiliaryJoint:
 
     def __post_init__(self):
         pu = np.asarray(self.p_u, dtype=np.float64)
-        if pu.ndim != 1 or np.any(pu < -_ROW_SUM_TOL) or abs(pu.sum() - 1.0) > _ROW_SUM_TOL:
+        ok = np.all(pu >= -_ROW_SUM_TOL) and abs(pu.sum() - 1.0) <= _ROW_SUM_TOL  # NaN fails
+        if pu.ndim != 1 or not ok:
             raise ValueError("p_u must be a probability vector")
         pu = np.clip(pu, 0.0, 1.0)
         pu.flags.writeable = False
@@ -151,8 +167,11 @@ class AuxiliaryJoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AuxiliaryJoint":
-        joint = cls(np.asarray(d["p_u"], float), np.asarray(d["p_x_given_u"], float))
-        if joint.u_size != d["u_size"]:
+        p_u, p_x_given_u, u_size = _json_fields(
+            d, "an auxiliary joint", ("p_u", "p_x_given_u"), ("u_size",)
+        )
+        joint = cls(p_u, p_x_given_u)
+        if joint.u_size != u_size:
             raise ValueError("declared u_size does not match p_u")
         return joint
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -119,6 +120,8 @@ def cmd_check_mc(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if not (math.isfinite(args.budget) and args.budget >= 0):
+        raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
     base = LogBase(args.base)
     bc = BecBscBC(*args.params)
     pair = bc.pair()
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
             return EXIT_INVALID
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, NotImplementedError) as exc:
+    except (ValueError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except regions.MonotonicityError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,8 +26,6 @@ from .becbsc import BecBscBC
 from .channel import AuxiliaryJoint
 from .gaussian import GaussianBC
 from .numerics import BudgetExceededError
-
-_ERASURE = 2  # output symbol index for the erased position
 
 
 # older names of the two family classes, still built by perfbench/workloads.py
@@ -111,7 +109,6 @@ class CodeConfig:
 class Codebook:
     clouds: np.ndarray      # (nu2, n)
     satellites: np.ndarray  # (nu1, nu2, n)
-    discrete: bool
 
 
 @dataclass(frozen=True)
@@ -150,17 +147,7 @@ class SimReport:
         return self.half_width(self.user2_errors, self.trials)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "user1_joint_errors": self.user1_joint_errors,
-                "user2_errors": self.user2_errors,
-                "error_events": self.error_events,
-                "p_e_estimate": self.p_e_estimate,
-                "p_e_half_width": self.p_e_half_width,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _codebook_rng(cfg: CodeConfig) -> np.random.Generator:
@@ -194,11 +181,11 @@ def build_superposition_codebook(cfg: CodeConfig) -> Codebook:
                 np.int8
             )
         np.clip(satellites, 0, law.x_size - 1, out=satellites)
-        return Codebook(clouds, satellites, discrete=True)
+        return Codebook(clouds, satellites)
     split = cfg.power_split
     clouds = math.sqrt(1.0 - split) * rng.standard_normal((nu2, n))
     satellites = clouds[None, :, :] + math.sqrt(split) * rng.standard_normal((nu1, nu2, n))
-    return Codebook(clouds, satellites, discrete=False)
+    return Codebook(clouds, satellites)
 
 
 def bin_assignment(cfg: CodeConfig) -> np.ndarray:
@@ -206,12 +193,10 @@ def bin_assignment(cfg: CodeConfig) -> np.ndarray:
     return (np.arange(cfg.nu2) // cfg.bin_size).astype(np.int64)
 
 
-def _bin_members(bins: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened per-bin member lists (members are sorted ascending per bin)."""
-    counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    flat = np.argsort(bins, kind="stable").astype(np.int64)
-    return flat, starts, counts
+def _bin_ranges(cfg: CodeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """First message and message count of each bin of ``bin_assignment``."""
+    starts = np.arange(0, cfg.nu2, cfg.bin_size, dtype=np.int64)
+    return starts, np.minimum(cfg.nu2 - starts, cfg.bin_size)
 
 
 def _draw_trials(cfg: CodeConfig, trials: int, draw):
@@ -256,32 +241,32 @@ def simulate(
     satellite codeword through both marginal channels independently, let
     user 1 decode the message pair by exhaustive maximum likelihood, pass
     the bin index of its user-2 estimate over the cooperation link, and let
-    user 2 decode over the cloud centers of that bin.  Discrete decoding
-    uses integer mismatch penalties (exact ties, first-index tie-break);
-    Gaussian decoding uses squared distance.
+    user 2 decode over the cloud centers of that bin.  The erasure user 1
+    counts mismatches on unerased positions (exact ties, first-index
+    tie-break); Gaussian decoding uses squared distance.
 
     The channel pair need not be ordered: either receiver may be the
     stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     book = build_superposition_codebook(cfg)
     bins = bin_assignment(cfg)
-    cand_flat, cand_start, cand_count = _bin_members(bins, int(bins[-1]) + 1)
+    cand_start, cand_count = _bin_ranges(cfg)
     nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     sat_flat = np.ascontiguousarray(book.satellites.reshape(nu1 * nu2, n))
 
     if isinstance(channels, BecBscBC):
-        if not book.discrete:
+        if cfg.input_law is None:
             raise ValueError("discrete channels require a discrete input law")
         if cfg.input_law.x_size != 2:
             raise ValueError("the erasure/flip family expects a binary input alphabet")
         m1, m2, u_erase, u_flip = _draw_trials_discrete(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
-        y1 = np.where(u_erase < channels.tau1, _ERASURE, x).astype(np.int8)
+        y1 = np.where(u_erase < channels.tau1, _accel.ERASURE, x).astype(np.int8)
         y2 = np.where(u_flip < channels.p2, 1 - x, x).astype(np.int8)
-        # mismatch on an unerased position disqualifies; erasures are free
-        penalty1 = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.int64)
         q2 = cfg.input_law.p_x_given_u @ np.array(
             [[1.0 - channels.p2, channels.p2], [channels.p2, 1.0 - channels.p2]]
         )
@@ -290,15 +275,15 @@ def simulate(
         clouds = np.ascontiguousarray(book.clouds.astype(np.int8))
 
         def decode_chunk(sl):
-            flat_hat = _accel.decode_map_int(sat_flat, penalty1, y1[sl])
+            flat_hat = _accel.decode_map_int(sat_flat, y1[sl])
             m2_hat_u1 = flat_hat % nu2
             m2_hat_u2 = _accel.decode_map_float(
-                clouds, logq2, y2[sl], cand_flat, cand_start, cand_count, bins[m2_hat_u1]
+                clouds, logq2, y2[sl], cand_start, cand_count, bins[m2_hat_u1]
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
 
     elif isinstance(channels, GaussianBC):
-        if book.discrete:
+        if cfg.input_law is not None:
             raise ValueError("Gaussian channels require a power-split input law")
         m1, m2, z1, z2 = _draw_trials_gaussian(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
@@ -311,7 +296,7 @@ def simulate(
             flat_hat = _accel.decode_sq(sat_flat, root_s1, y1[sl])
             m2_hat_u1 = flat_hat % nu2
             m2_hat_u2 = _accel.decode_sq_restricted(
-                clouds, root_s2, y2[sl], cand_flat, cand_start, cand_count, bins[m2_hat_u1]
+                clouds, root_s2, y2[sl], cand_start, cand_count, bins[m2_hat_u1]
             )
             return flat_hat // nu2, m2_hat_u1, m2_hat_u2
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import DEFAULT_TOL, LogBase, Tolerance, gaussian_cap, gaussian_cap_inv
-from .regions import ParametricFamily, check_c12
-
-_SLACK = 1e-9
+from .regions import ParametricFamily, check_c12, check_r1
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,6 @@ def r2star_closed(
     Valid for r1 up to the threshold rate; beyond it the curve is not a
     proven boundary and the call is rejected.
     """
-    c1, c2 = check_c12(bc, c12, base)
-    r1_th = r1_th_closed(bc, c12, base)
-    if not -_SLACK <= r1 <= r1_th + _SLACK:
-        raise ValueError(f"r1 must lie in [0, {r1_th}], got {r1}")
-    r1 = max(r1, 0.0)
+    _, c2 = check_c12(bc, c12, base)
+    r1 = check_r1(r1, r1_th_closed(bc, c12, base))
     return c2 + c12 - gaussian_cap(gaussian_cap_inv(r1, base) * bc.s2 / bc.s1, base)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .channel import (
     ChannelPair,
-    _compositions,
     _mi_batch_nats,
     _simplex_lattice,
     _xlogx,
@@ -33,6 +32,9 @@ from .regions import (
     pareto_filter,
 )
 
+# Most joints one scan may enumerate.
+EVAL_BUDGET = 100_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -41,21 +43,18 @@ class GridSpec:
     ``steps`` is the number of subdivisions per probability coordinate, so
     each 1-D grid has steps+1 points.  ``u_cardinality`` defaults to input
     alphabet + 1 headroom for binary inputs; 2 is enough for the
-    erasure/symmetric pair and much faster.  ``eval_budget`` caps the total
-    number of joints ever enumerated.
+    erasure/symmetric pair and much faster.  A scan may enumerate at most
+    ``EVAL_BUDGET`` joints.
     """
 
     steps: int
     u_cardinality: int = 3
-    eval_budget: int = 100_000_000
 
     def __post_init__(self):
         if self.u_cardinality < 1:
             raise ValueError(f"u_cardinality must be >= 1, got {self.u_cardinality}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.eval_budget < 1:
-            raise ValueError("eval_budget must be positive")
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -142,9 +141,9 @@ def _scan_corners(
     result is independent of the thread count.
     """
     total = evaluation_count(pair, spec)
-    if total > spec.eval_budget:
+    if total > EVAL_BUDGET:
         raise BudgetExceededError(
-            f"scan would evaluate {total} joints, over the budget of {spec.eval_budget}"
+            f"scan would evaluate {total} joints, over the budget of {EVAL_BUDGET}"
         )
     m = spec.u_cardinality
     trans1 = pair.ch1.transitions
@@ -209,6 +208,8 @@ def oracle_both(
     """One grid pass yielding both the cut (inner) and uncut (outer) frontiers."""
     if c12 < 0:
         raise ValueError(f"cooperation rate must be nonnegative, got {c12}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     in_r1, in_r2, out_r1, out_r2 = _scan_corners(pair, c12, spec, base, threads)
     c1, _ = capacity(pair.ch1, base=base)
     return _as_boundary(in_r1, in_r2, c1), _as_boundary(out_r1, out_r2, c1)

@@ -21,6 +21,8 @@ from .numerics import DEFAULT_TOL, LogBase, Tolerance, bisect_monotone
 _STRICT_SLACK = 1e-12
 _ENDPOINT_TOL = 1e-9
 _C12_SLACK = 1e-9
+# intervals of the grid on which a family's contract is checked
+_VALIDATION_POINTS = 1000
 
 SEGMENT_PROVEN = "proven"
 SEGMENT_CONJECTURED = "sumrate_conjectured"
@@ -57,14 +59,13 @@ class ParametricFamily:
     c1: float
     c2: float
     c12: float
-    validation_points: int = 1000
 
     def __post_init__(self):
         if not self.b > 0:
             raise ValueError(f"parameter endpoint b must be positive, got {self.b}")
         if self.c12 < 0:
             raise ValueError(f"cooperation rate must be nonnegative, got {self.c12}")
-        grid = np.linspace(0.0, self.b, self.validation_points + 1)
+        grid = np.linspace(0.0, self.b, _VALIDATION_POINTS + 1)
         v1 = _on_grid(self.f1, grid)
         v2 = _on_grid(self.f2, grid)
         for name, v in (("f1", v1), ("f2", v2)):
@@ -108,6 +109,13 @@ def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
             f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"
         )
     return c1, c2
+
+
+def check_r1(r1: float, r1_th: float) -> float:
+    """r1 clamped at 0, once it lies in [0, r1_th], where the boundary is proven."""
+    if not -_ENDPOINT_TOL <= r1 <= r1_th + _ENDPOINT_TOL:
+        raise ValueError(f"r1 must lie in [0, {r1_th}], got {r1}")
+    return max(r1, 0.0)
 
 
 @dataclass(frozen=True)
@@ -230,10 +238,7 @@ def boundary_r2star(fam: ParametricFamily, r1: float, tol: Tolerance = DEFAULT_T
     Only defined up to the threshold rate; beyond it the boundary is no
     longer proven and this function refuses to extrapolate.
     """
-    r1_th = r1_threshold(fam, tol)
-    if not -_ENDPOINT_TOL <= r1 <= r1_th + _ENDPOINT_TOL:
-        raise ValueError(f"r1 must lie in [0, {r1_th}], got {r1}")
-    r1 = min(max(r1, 0.0), fam.c1)
+    r1 = min(check_r1(r1, r1_threshold(fam, tol)), fam.c1)
     alpha = bisect_monotone(fam.f1, 0.0, fam.b, r1, "increasing", tol)
     return fam.f2(alpha)
 

@@ -11,27 +11,29 @@ import numpy as np
 import pytest
 
 from coopbc import _accel
-from coopbc.dnfsim import _bin_members
+
+# MISMATCH[c, y]: codeword bit c against received 0, 1 or erasure
+MISMATCH = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.int64)
 
 
-def ref_decode_map_int(codebook, penalty, ys):
+def ref_decode_map_int(codebook, ys):
     n = codebook.shape[1]
     out = np.empty(ys.shape[0], dtype=np.int64)
     for t in range(ys.shape[0]):
         acc = np.zeros(codebook.shape[0], dtype=np.int64)
         y = ys[t]
         for i in range(n):
-            acc += penalty[codebook[:, i], y[i]]
+            acc += MISMATCH[codebook[:, i], y[i]]
         out[t] = np.argmin(acc)
     return out
 
 
-def ref_decode_map_float(codebook, logscore, ys, cand_flat, cand_start, cand_count, cand_of):
+def ref_decode_map_float(codebook, logscore, ys, cand_start, cand_count, cand_of):
     n = codebook.shape[1]
     out = np.empty(ys.shape[0], dtype=np.int64)
     for t in range(ys.shape[0]):
         b = cand_of[t]
-        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
+        cands = np.arange(cand_start[b], cand_start[b] + cand_count[b])
         acc = np.zeros(cands.shape[0], dtype=np.float64)
         y = ys[t]
         sub = codebook[cands]
@@ -54,12 +56,12 @@ def ref_decode_sq(codebook, scale, ys):
     return out
 
 
-def ref_decode_sq_restricted(codebook, scale, ys, cand_flat, cand_start, cand_count, cand_of):
+def ref_decode_sq_restricted(codebook, scale, ys, cand_start, cand_count, cand_of):
     n = codebook.shape[1]
     out = np.empty(ys.shape[0], dtype=np.int64)
     for t in range(ys.shape[0]):
         b = cand_of[t]
-        cands = cand_flat[cand_start[b] : cand_start[b] + cand_count[b]]
+        cands = np.arange(cand_start[b], cand_start[b] + cand_count[b])
         acc = np.zeros(cands.shape[0], dtype=np.float64)
         y = ys[t]
         sub = codebook[cands]
@@ -69,8 +71,6 @@ def ref_decode_sq_restricted(codebook, scale, ys, cand_flat, cand_start, cand_co
         out[t] = cands[np.argmin(acc)]
     return out
 
-
-BEC_PENALTY = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.int64)
 
 # (chunk budget, codeword block): one trial per chunk against blocks of 7
 # codewords, a few trials per chunk against blocks of 64, the defaults
@@ -94,7 +94,7 @@ def bec_outputs(rng, book, trials, erase=0.4):
     sent = book[rng.integers(book.shape[0], size=trials)]
     flips = rng.random(sent.shape) < 0.1
     y = np.where(flips, 1 - sent, sent)
-    return np.where(rng.random(sent.shape) < erase, 2, y).astype(np.int8)
+    return np.where(rng.random(sent.shape) < erase, _accel.ERASURE, y).astype(np.int8)
 
 
 def permutation_book(seed, n=7):
@@ -106,8 +106,11 @@ def permutation_book(seed, n=7):
 
 
 def bins_for(m, bin_size, n_bins):
-    bins = (np.arange(m) // bin_size).astype(np.int64)
-    return bins, _bin_members(bins, n_bins)
+    """Bin of each of m codewords, and the bins as index ranges (starts,
+    counts): consecutive blocks of bin_size, empty past the last codeword."""
+    starts = np.arange(n_bins, dtype=np.int64) * bin_size
+    counts = np.clip(m - starts, 0, bin_size)
+    return (np.arange(m) // bin_size).astype(np.int64), (starts, counts)
 
 
 class TestDecodeMapInt:
@@ -117,25 +120,27 @@ class TestDecodeMapInt:
         book = binary_book(rng, 200, 12)
         ys = bec_outputs(rng, book, trials)
         np.testing.assert_array_equal(
-            _accel.decode_map_int(book, BEC_PENALTY, ys), ref_decode_map_int(book, BEC_PENALTY, ys)
+            _accel.decode_map_int(book, ys), ref_decode_map_int(book, ys)
         )
 
-    def test_general_integer_penalty(self, chunking):
+    def test_erasure_free_words_score_hamming_distance(self, chunking):
         rng = np.random.default_rng(3)
-        penalty = rng.integers(-3, 5, size=(3, 4))
-        book = rng.integers(0, 3, size=(150, 9)).astype(np.int8)
-        ys = rng.integers(0, 4, size=(64, 9)).astype(np.int8)
-        np.testing.assert_array_equal(
-            _accel.decode_map_int(book, penalty, ys), ref_decode_map_int(book, penalty, ys)
-        )
+        book = binary_book(rng, 150, 9)
+        ys = bec_outputs(rng, book, 64, erase=0.0)
+        ys[:3] = book[[1, 40, 75]]  # book[75] repeats book[1]: distance 0, first index
+        got = _accel.decode_map_int(book, ys)
+        np.testing.assert_array_equal(got, ref_decode_map_int(book, ys))
+        hamming = (book[None, :, :] != ys[:, None, :]).sum(axis=2)
+        np.testing.assert_array_equal(got, np.argmin(hamming, axis=1))
+        np.testing.assert_array_equal(got[:3], [1, 40, 1])
 
     def test_all_erased_picks_index_zero(self, chunking):
         rng = np.random.default_rng(5)
         book = binary_book(rng, 64, 10)
         ys = np.full((25, 10), 2, dtype=np.int8)
-        got = _accel.decode_map_int(book, BEC_PENALTY, ys)
+        got = _accel.decode_map_int(book, ys)
         np.testing.assert_array_equal(got, np.zeros(25, dtype=np.int64))
-        np.testing.assert_array_equal(got, ref_decode_map_int(book, BEC_PENALTY, ys))
+        np.testing.assert_array_equal(got, ref_decode_map_int(book, ys))
 
     def test_crosses_default_chunk_and_block_boundaries(self):
         rng = np.random.default_rng(6)
@@ -146,15 +151,17 @@ class TestDecodeMapInt:
         step = _accel.CHUNK_BYTES // (4 * block)
         ys = bec_outputs(rng, book, 2 * step + 3, erase=0.2)
         ys[:2] = book[[10, block + 7]]
-        got = _accel.decode_map_int(book, BEC_PENALTY, ys)
+        got = _accel.decode_map_int(book, ys)
         np.testing.assert_array_equal(got[:2], [10, block + 7])
-        np.testing.assert_array_equal(got, ref_decode_map_int(book, BEC_PENALTY, ys))
+        np.testing.assert_array_equal(got, ref_decode_map_int(book, ys))
 
-    def test_rejects_sums_beyond_float32_exactness(self):
-        penalty = np.array([[0, 1 << 22], [1 << 22, 0]], dtype=np.int64)
-        book = np.zeros((2, 8), dtype=np.int8)
+    def test_rejects_blocklengths_beyond_float32_exactness(self):
+        # read-only broadcast views: the guard must fire before any allocation
+        n = (1 << 24) + 1
+        book = np.broadcast_to(np.int8(0), (2, n))
+        ys = np.broadcast_to(np.int8(_accel.ERASURE), (1, n))
         with pytest.raises(ValueError, match="2\\*\\*24"):
-            _accel.decode_map_int(book, penalty, np.zeros((1, 8), dtype=np.int8))
+            _accel.decode_map_int(book, ys)
 
 
 class TestDecodeSq:
@@ -220,7 +227,7 @@ class TestDecodeMapFloat:
         np.testing.assert_array_equal(
             got, ref_decode_map_float(clouds, logscore, ys, *cands, cand_of)
         )
-        assert np.any(got == cands[0][cands[1][cand_of]])
+        assert np.any(got == cands[0][cand_of])
 
     def test_rounding_of_the_symbol_order_decides(self, chunking):
         # all weight-5 words of length 12 score the same multiset of terms
@@ -244,7 +251,7 @@ class TestDecodeMapFloat:
         clouds = binary_book(rng, 27, 12)
         logscore = np.log(np.array([[0.75, 0.25], [0.25, 0.75]]))
         bins, cands = bins_for(27, 3, 10)
-        assert cands[2][9] == 0
+        assert cands[1][9] == 0
         ys = rng.integers(0, 2, size=(50, 12)).astype(np.int8)
         cand_of = bins[rng.integers(27, size=50)]
         np.testing.assert_array_equal(

@@ -65,6 +65,39 @@ class TestConstruction:
         d = json.loads(ch.to_json())
         assert d["input_size"] == 2 and d["output_size"] == 3
 
+    @pytest.mark.parametrize("d, match", [
+        ([[1.0, 0.0], [0.0, 1.0]], "JSON object"),
+        ({"rows": [[1.0, 0.0], [0.0, 1.0]], "output_size": 2}, "JSON object"),
+        ({"input_size": 2, "output_size": 2}, "JSON object"),
+        ({"rows": {"a": 1}, "input_size": 1, "output_size": 1}, "JSON object"),
+        ({"rows": [[0.5, 0.5], [1.0]], "input_size": 2, "output_size": 2}, "JSON object"),
+        ({"rows": [[1.0, 0.0], [0.0, 1.0]], "input_size": "2", "output_size": 2},
+         "declared sizes"),
+        ({"rows": [[None, 1.0], [0.0, 1.0]], "input_size": 2, "output_size": 2}, "entries"),
+    ])
+    def test_malformed_dict_is_a_value_error(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteChannel.from_dict(d)
+
+    @pytest.mark.parametrize("d, match", [
+        ([0.5, 0.5], "JSON object"),
+        ("p_u", "JSON object"),
+        ({"p_u": [1.0], "u_size": 1}, "JSON object"),
+        ({"p_x_given_u": [[1.0, 0.0]]}, "JSON object"),
+        ({"p_u": {"a": 1}, "p_x_given_u": [[1.0, 0.0]], "u_size": 1}, "JSON object"),
+        ({"p_u": [1.0], "p_x_given_u": "abc", "u_size": 1}, "JSON object"),
+        ({"p_u": [1.0], "p_x_given_u": [[1.0, 0.0]], "u_size": [1]}, "declared u_size"),
+        ({"p_u": [None], "p_x_given_u": [[1.0, 0.0]], "u_size": 1}, "probability vector"),
+        ({"p_u": [1.0], "p_x_given_u": [[None, 1.0]], "u_size": 1}, "entries"),
+    ])
+    def test_malformed_joint_is_a_value_error(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            AuxiliaryJoint.from_dict(d)
+
+    def test_nan_distribution_rejected(self):
+        with pytest.raises(ValueError):
+            InputDistribution(np.array([np.nan, 1.0]))
+
 
 class TestMutualInformation:
     def test_useless_channel(self):

@@ -341,6 +341,98 @@ def test_non_finite_channel_parameter_exits_2(tmp_path, capsys, command, family,
     assert not (tmp_path / "out").exists()
 
 
+def assert_clean_exit_2(argv, capsys):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+SIMULATE_BECBSC = ["simulate", "--channel", "becbsc", "--params", 0.1, 0.2, "--n", 8,
+                   "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 5]
+# malformed input files: name -> text, or None for a directory
+MALFORMED_LAWS = {
+    "list": "[0.5, 0.5]",
+    "missing_rows": '{"u_size": 2, "p_u": [0.5, 0.5]}',
+    "not_json": "p_u = 0.5",
+    "nan_entry": '{"u_size": 2, "p_u": [0.5, 0.5], "p_x_given_u": [[NaN, 1.0], [0.5, 0.5]]}',
+    "directory": None,
+}
+MALFORMED_CHANNELS = {
+    "missing_size": '{"rows": [[1.0, 0.0], [0.0, 1.0]], "output_size": 2}',
+    "list": "[[1.0, 0.0], [0.0, 1.0]]",
+    "nan_entry": '{"input_size": 2, "output_size": 2, "rows": [[NaN, 1.0], [0.0, 1.0]]}',
+    "directory": None,
+}
+
+
+def malformed_file(tmp_path, name, text):
+    path = tmp_path / name
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    return path
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_LAWS))
+    def test_simulate_input_law(self, tmp_path, capsys, name):
+        law = malformed_file(tmp_path, name, MALFORMED_LAWS[name])
+        assert_clean_exit_2(SIMULATE_BECBSC + ["--input-law", law, "--out", tmp_path / "out"],
+                            capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHANNELS))
+    def test_check_mc_json(self, tmp_path, capsys, name):
+        bad = malformed_file(tmp_path, name, MALFORMED_CHANNELS[name])
+        good = tmp_path / "good.json"
+        good.write_text(make_bsc(0.1).to_json())
+        assert_clean_exit_2(["check-mc", "json", bad, good], capsys)
+        assert_clean_exit_2(["check-mc", "json", good, bad], capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert_clean_exit_2(SIMULATE_BECBSC + ["--input-law", tmp_path / "absent.json",
+                                               "--out", tmp_path], capsys)
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["region", "becbsc", 0.1, 0.2, "--c12", 0.2],
+        ["sweep", "becbsc", 0.1, 0.2, "--points", 3],
+        ["check-mc", "becbsc", 0.1, 0.2],
+        ["fig3", "--grid", 11],
+    ])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, argv, tol):
+        assert_clean_exit_2(argv + ["--tol", tol, "--out", tmp_path / "out"], capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_oracle_budget_must_be_finite_and_nonnegative(self, tmp_path, capsys, budget):
+        argv = ["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 10,
+                "--budget", budget, "--out", tmp_path / "out"]
+        assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_budget_zero_is_a_failed_check(self, tmp_path, capsys):
+        argv = ["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 10,
+                "--budget", 0, "--out", tmp_path]
+        assert run(argv) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["oracle-compare", "simulate"])
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one(self, tmp_path, capsys, command, threads):
+        argv = SUBCOMMAND_ARGV[command] + ["--threads", threads, "--out", tmp_path / "out"]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: threads must be >= 1")
+        assert not (tmp_path / "out").exists()
+
+
 SUBCOMMAND_ARGV = {
     "region": ["region", "gaussian", 5, 0.5, "--c12", 0.5],
     "fig2": ["fig2"],

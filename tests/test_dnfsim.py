@@ -7,6 +7,7 @@ from coopbc.dnfsim import (
     BudgetExceededError,
     CodeConfig,
     SimReport,
+    _bin_ranges,
     bin_assignment,
     build_superposition_codebook,
     simulate,
@@ -99,6 +100,21 @@ class TestBinAssignment:
         for m2 in range(cfg.nu2):
             assert bins[m2] == m2 // cfg.bin_size
 
+    @pytest.mark.parametrize("n, r2, c12", [
+        (8, 0.25, 0.3),     # singletons
+        (8, 0.25, 0.0),     # one bin
+        (8, 0.5, 0.25),     # four bins of four
+        (10, 0.45, 0.2),    # 23 messages in bins of 6: the last holds 5
+        (2000, 0.001, 0.6), # link wider than the float range
+    ])
+    def test_ranges_are_the_bins_of_the_assignment(self, n, r2, c12):
+        cfg = CodeConfig(n=n, r1=0.0, r2=r2, c12=c12, seed=0, input_law=UNIFORM_LAW)
+        bins = bin_assignment(cfg)
+        starts, counts = _bin_ranges(cfg)
+        assert starts.size == counts.size == bins.max() + 1
+        for b, (start, count) in enumerate(zip(starts, counts)):
+            np.testing.assert_array_equal(np.flatnonzero(bins == b), np.arange(start, start + count))
+
 
 class TestCodebook:
     def test_counting_trivial(self):
@@ -128,7 +144,7 @@ class TestCodebook:
     def test_gaussian_power_split(self):
         cfg = CodeConfig(n=64, r1=0.1, r2=0.1, c12=0.1, seed=4, power_split=0.3)
         book = build_superposition_codebook(cfg)
-        assert not book.discrete
+        assert book.clouds.dtype == book.satellites.dtype == np.float64
         cloud_power = float(np.mean(book.clouds**2))
         sat_power = float(np.mean(book.satellites**2))
         assert cloud_power == pytest.approx(0.7, abs=0.05)
@@ -164,6 +180,12 @@ class TestSimulate:
         serial = simulate(cfg, BecBscBC(0.1, 0.2), 1200)
         threaded = simulate(cfg, BecBscBC(0.1, 0.2), 1200, threads=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=8, input_law=UNIFORM_LAW)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            simulate(cfg, BecBscBC(0.1, 0.2), 10, threads=threads)
 
     def test_link_wider_than_the_float_range_runs(self):
         # only the bins in use are searched: a 2**1280-index link decodes like
@@ -235,6 +257,17 @@ class TestSimReport:
     def test_half_width(self):
         assert SimReport.half_width(0, 100) == 0.0
         assert SimReport.half_width(50, 100) == pytest.approx(1.96 * 0.05, abs=1e-12)
+
+    def test_json_text(self):
+        report = SimReport(
+            trials=7, user1_joint_errors=1, user2_errors=2,
+            error_events=3, p_e_estimate=3 / 7, p_e_half_width=0.25,
+        )
+        assert report.to_json() == (
+            '{\n  "trials": 7,\n  "user1_joint_errors": 1,\n  "user2_errors": 2,\n'
+            '  "error_events": 3,\n  "p_e_estimate": 0.42857142857142855,\n'
+            '  "p_e_half_width": 0.25\n}'
+        )
 
     def test_rates(self):
         report = SimReport(

@@ -210,6 +210,11 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(max_iters=0)
 
+    @pytest.mark.parametrize("abs_tol", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_width_rejected(self, abs_tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Tolerance(abs_tol=abs_tol)
+
 
 class TestArrayArguments:
     """The entropy/capacity functions take whole grids; floats stay on math."""

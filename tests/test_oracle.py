@@ -5,12 +5,11 @@ import pytest
 
 from coopbc import oracle
 from coopbc.becbsc import BecBscBC, becbsc_family
-from coopbc.channel import ChannelPair, DiscreteChannel, make_bec, make_bsc
+from coopbc.channel import ChannelPair, DiscreteChannel, _compositions, make_bec, make_bsc
 from coopbc.numerics import Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
-    _compositions,
     _general_scan_chunk,
     _row_tables,
     composition_count,
@@ -168,6 +167,12 @@ class TestAgainstParametric:
             keep = pareto_filter(r1, r2)
             assert boundary.r1.tobytes() == r1[keep].tobytes()
             assert boundary.r2.tobytes() == r2[keep].tobytes()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2), threads=threads)
 
 
 class TestBinaryInput:
