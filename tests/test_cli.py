@@ -341,12 +341,13 @@ def test_non_finite_channel_parameter_exits_2(tmp_path, capsys, command, family,
     assert not (tmp_path / "out").exists()
 
 
-def assert_clean_exit_2(argv, capsys):
+def assert_clean_exit_2(argv, capsys) -> str:
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    return err
 
 
 SIMULATE_BECBSC = ["simulate", "--channel", "becbsc", "--params", 0.1, 0.2, "--n", 8,
@@ -426,10 +427,7 @@ class TestFlagValues:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, tmp_path, capsys, command, threads):
         argv = SUBCOMMAND_ARGV[command] + ["--threads", threads, "--out", tmp_path / "out"]
-        code = run(argv)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: threads must be >= 1")
+        assert "threads must be >= 1" in assert_clean_exit_2(argv, capsys)
         assert not (tmp_path / "out").exists()
 
 

@@ -113,7 +113,8 @@ class TestBinAssignment:
         starts, counts = _bin_ranges(cfg)
         assert starts.size == counts.size == bins.max() + 1
         for b, (start, count) in enumerate(zip(starts, counts)):
-            np.testing.assert_array_equal(np.flatnonzero(bins == b), np.arange(start, start + count))
+            np.testing.assert_array_equal(np.flatnonzero(bins == b),
+                                          np.arange(start, start + count))
 
 
 class TestCodebook:
