@@ -27,7 +27,6 @@ from .numerics import (
 from .oracle import GridSpec, frontier_deviation, oracle_both
 from .regions import (
     ParametricFamily,
-    RatePair,
     RateRegionBoundary,
     boundary_r2star,
     coincidence_check,

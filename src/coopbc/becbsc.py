@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelPair, make_bec, make_bsc
+from .channel import AuxiliaryJoint, ChannelPair, make_bec, make_bsc
 from .numerics import (
     DEFAULT_TOL,
     LogBase,
@@ -155,13 +155,10 @@ def mgl_gap(p_u, p_x_given_u, p2: float, base: LogBase = LogBase.BITS) -> float:
     """
     if not 0.0 <= p2 <= 0.5:
         raise ValueError(f"requires p2 in [0, 1/2], got {p2}")
-    pu = np.asarray(p_u, dtype=np.float64)
-    pxu = np.asarray(p_x_given_u, dtype=np.float64)
-    if pxu.ndim != 2 or pxu.shape[1] != 2:
-        raise ValueError(f"X must be binary: p_x_given_u shape {pxu.shape}")
-    if pu.shape != (pxu.shape[0],):
-        raise ValueError("p_u length must match the rows of p_x_given_u")
-    x1 = pxu[:, 1]
+    joint = AuxiliaryJoint(p_u, p_x_given_u)
+    if joint.x_size != 2:
+        raise ValueError(f"X must be binary: p_x_given_u shape {joint.p_x_given_u.shape}")
+    pu, x1 = joint.p_u, joint.p_x_given_u[:, 1]
     h_x_given_u = float(pu @ np.array([binary_entropy(float(t), base) for t in x1]))
     y1 = np.array([binary_convolution(float(t), p2) for t in x1])
     h_y_given_u = float(pu @ np.array([binary_entropy(float(t), base) for t in y1]))

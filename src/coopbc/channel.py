@@ -36,16 +36,21 @@ def _json_fields(d, what: str, arrays: tuple, sizes: tuple) -> list:
         ) from None
 
 
-def _validate_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
+def _validate_stochastic(mat, what: str, ndim: int = 2) -> np.ndarray:
+    """``mat`` as a read-only float array, clipped to [0, 1], once it is a
+    row-stochastic matrix (or, with ``ndim=1``, a probability vector, checked
+    as one row).  The package checks every probability law here."""
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError(f"{what} must be a 2-D matrix, got shape {mat.shape}")
+    if mat.ndim != ndim:
+        shape = "vector" if ndim == 1 else "2-D matrix"
+        raise ValueError(f"{what} must be a {shape}, got shape {mat.shape}")
     # written so that a NaN entry fails every check
     if not np.all((mat >= -_ROW_SUM_TOL) & (mat <= 1.0 + _ROW_SUM_TOL)):
         raise ValueError(f"{what} entries must lie in [0, 1]")
-    rowsums = mat.sum(axis=1)
+    rowsums = np.atleast_2d(mat).sum(axis=1)
     if not np.all(np.abs(rowsums - 1.0) <= _ROW_SUM_TOL):
-        raise ValueError(f"{what} rows must sum to 1 within {_ROW_SUM_TOL}")
+        rows = "" if ndim == 1 else " rows"
+        raise ValueError(f"{what}{rows} must sum to 1 within {_ROW_SUM_TOL}")
     mat = np.clip(mat, 0.0, 1.0)
     mat.flags.writeable = False
     return mat
@@ -120,13 +125,7 @@ class InputDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1:
-            raise ValueError("input distribution must be a vector")
-        if not (np.all(p >= -_ROW_SUM_TOL) and abs(p.sum() - 1.0) <= _ROW_SUM_TOL):
-            raise ValueError("input distribution must be nonnegative and sum to 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.flags.writeable = False
+        p = _validate_stochastic(self.probs, "input distribution", ndim=1)
         object.__setattr__(self, "probs", p)
 
 
@@ -138,12 +137,7 @@ class AuxiliaryJoint:
     p_x_given_u: np.ndarray
 
     def __post_init__(self):
-        pu = np.asarray(self.p_u, dtype=np.float64)
-        ok = np.all(pu >= -_ROW_SUM_TOL) and abs(pu.sum() - 1.0) <= _ROW_SUM_TOL  # NaN fails
-        if pu.ndim != 1 or not ok:
-            raise ValueError("p_u must be a probability vector")
-        pu = np.clip(pu, 0.0, 1.0)
-        pu.flags.writeable = False
+        pu = _validate_stochastic(self.p_u, "probability vector p_u", ndim=1)
         object.__setattr__(self, "p_u", pu)
         pxu = _validate_stochastic(self.p_x_given_u, "p_x_given_u")
         if pxu.shape[0] != pu.shape[0]:
@@ -191,7 +185,7 @@ def make_bec(tau: float) -> DiscreteChannel:
 
 
 def _as_probs(px, n: int) -> np.ndarray:
-    p = px.probs if isinstance(px, InputDistribution) else np.asarray(px, dtype=np.float64)
+    p = (px if isinstance(px, InputDistribution) else InputDistribution(px)).probs
     if p.shape != (n,):
         raise ValueError(f"input distribution must have length {n}, got shape {p.shape}")
     return p

@@ -1,8 +1,9 @@
 """Command-line surface: region computation, sweeps, figure data, checks, simulation.
 
-Exit codes are a stable contract: 0 success, 1 a requested check failed,
-2 invalid input.  All emitted files use LF line endings and 12 significant
-digits so they diff cleanly across platforms.
+Exit codes are a stable contract: 0 success, 1 a requested check failed
+(``MonotonicityError`` or a failed comparison), 2 invalid input (any
+``ValueError``, ``OSError`` or ``MemoryError``).  All emitted files use LF
+line endings and 12 significant digits so they diff cleanly across platforms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import dnfsim, oracle, regions
 from .becbsc import BecBscBC
 from .channel import AuxiliaryJoint, ChannelPair, DiscreteChannel, is_more_capable
 from .gaussian import GaussianBC
-from .numerics import DEFAULT_TOL, BudgetExceededError, LogBase, Tolerance
+from .numerics import DEFAULT_TOL, LogBase, Tolerance
 from .regions import _fmt
 
 EXIT_OK = 0
@@ -60,17 +61,19 @@ def cmd_region(args) -> int:
     fam = bc.family(args.c12, base)
     a_th = bc.threshold(args.c12, base, tol)
     r1_th = fam.f1(a_th)
+    # every frontier is computed before anything is printed
+    boundaries = []
+    if args.which in ("inner", "both"):
+        boundaries.append(("inner", regions.inner_boundary(fam, args.grid)))
+    if args.which in ("outer", "both"):
+        boundaries.append(("outer", regions.outer_boundary(fam, args.grid)))
     out = Path(args.out)
     print(f"C1 = {_fmt(fam.c1)} {args.base}")
     print(f"C2 = {_fmt(fam.c2)} {args.base}")
     print(f"alpha_th = {_fmt(a_th)}")
     print(f"r1_th = {_fmt(r1_th)} {args.base}")
-    if args.which in ("inner", "both"):
-        p = _emit_boundary(out / "inner", regions.inner_boundary(fam, args.grid), args.format)
-        print(f"wrote {p}")
-    if args.which in ("outer", "both"):
-        p = _emit_boundary(out / "outer", regions.outer_boundary(fam, args.grid), args.format)
-        print(f"wrote {p}")
+    for name, boundary in boundaries:
+        print(f"wrote {_emit_boundary(out / name, boundary, args.format)}")
     return EXIT_OK
 
 
@@ -83,14 +86,14 @@ def cmd_fig(args) -> int:
         c12_list = [float(v) for v in args.c12.split(",")]
     else:
         c12_list = [c12 * base.one_bit() for c12 in default_c12]
-    # every rate is checked before the first file is written
+    # every rate and threshold is checked before the first file is written
     families = [bc.family(c12, base) for c12 in c12_list]
+    r1_ths = [fam.f1(bc.threshold(c12, base, tol)) for c12, fam in zip(c12_list, families)]
     out = Path(args.out)
     diamonds = ["c12,r1,r2"]
-    for c12, fam in zip(c12_list, families):
+    for c12, fam, r1_th in zip(c12_list, families, r1_ths):
         boundary = regions.inner_boundary(fam, args.grid)
         p = _emit_boundary(out / f"{which}_c12_{_fmt(c12)}", boundary, args.format)
-        r1_th = fam.f1(bc.threshold(c12, base, tol))
         diamonds.append(f"{_fmt(c12)},{_fmt(r1_th)},{_fmt(fam.c1 - r1_th)}")
         print(f"wrote {p}")
     _write(out / "diamonds.csv", "\n".join(diamonds) + "\n")
@@ -103,7 +106,7 @@ def _load_pair(args) -> ChannelPair:
         ch1 = DiscreteChannel.from_json(Path(args.params_raw[0]).read_text())
         ch2 = DiscreteChannel.from_json(Path(args.params_raw[1]).read_text())
         return ChannelPair(ch1, ch2)
-    return BecBscBC(*args.params).pair()
+    return BecBscBC(*map(float, args.params_raw)).pair()
 
 
 def cmd_check_mc(args) -> int:
@@ -310,22 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # check-mc takes mixed float/path positionals; resolve them here
-    if args.command == "check-mc" and args.family != "json":
-        try:
-            args.params = [float(v) for v in args.params_raw]
-        except ValueError:
-            print("error: channel parameters must be numbers", file=sys.stderr)
-            return EXIT_INVALID
     try:
         return args.func(args)
-    except (ValueError, OSError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except regions.MonotonicityError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except BudgetExceededError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

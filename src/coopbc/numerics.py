@@ -76,11 +76,12 @@ class BracketError(ValueError):
     """The target value is not enclosed by the function values at the bracket ends."""
 
 
-class IterationLimitError(RuntimeError):
-    """An iterative solver exhausted its iteration budget before converging."""
+class IterationLimitError(ValueError):
+    """An iterative solver exhausted its iteration budget before converging:
+    the tolerance asked for is out of its reach."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """A grid scan or a codebook would exceed its configured work budget."""
 
 

@@ -33,12 +33,6 @@ class MonotonicityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RatePair:
-    r1: float
-    r2: float
-
-
-@dataclass(frozen=True)
 class ParametricFamily:
     """Monotone boundary evaluators for one channel family at one cooperation rate.
 
@@ -157,10 +151,6 @@ class RateRegionBoundary:
 
     def __len__(self) -> int:
         return self.r1.size
-
-    @property
-    def points(self) -> list[RatePair]:
-        return [RatePair(float(a), float(b)) for a, b in zip(self.r1, self.r2)]
 
     def interp_r2(self, r1: np.ndarray) -> np.ndarray:
         """r2 on the frontier at the given r1 values, linear between corners."""

@@ -228,6 +228,15 @@ class TestMglGap:
         with pytest.raises(ValueError):
             mgl_gap(np.array([0.5, 0.5]), np.array([[0.7, 0.3]]), 0.2)
 
+    @pytest.mark.parametrize("p_u, rows, match", [
+        ([0.5, 0.5], [[np.nan, 1.0], [0.5, 0.5]], "entries"),
+        ([0.5, 0.5], [[0.7, 0.7], [0.5, 0.5]], "sum to 1"),
+        ([0.5, np.nan], [[0.7, 0.3], [0.5, 0.5]], "entries"),
+    ])
+    def test_rejects_invalid_laws(self, p_u, rows, match):
+        with pytest.raises(ValueError, match=match):
+            mgl_gap(np.array(p_u), np.array(rows), 0.2)
+
 
 class TestEntropyChainBound:
     def test_induced_crossover_dominates_conditional_entropy(self):

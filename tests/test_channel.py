@@ -74,6 +74,7 @@ class TestConstruction:
         ({"rows": [[1.0, 0.0], [0.0, 1.0]], "input_size": "2", "output_size": 2},
          "declared sizes"),
         ({"rows": [[None, 1.0], [0.0, 1.0]], "input_size": 2, "output_size": 2}, "entries"),
+        ({"rows": [0.5, 0.5], "input_size": 2, "output_size": 2}, "2-D"),
     ])
     def test_malformed_dict_is_a_value_error(self, d, match):
         with pytest.raises(ValueError, match=match):
@@ -98,6 +99,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InputDistribution(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], 1.0])
+    def test_distribution_must_be_a_vector(self, probs):
+        with pytest.raises(ValueError, match="vector"):
+            InputDistribution(np.array(probs))
+
 
 class TestMutualInformation:
     def test_useless_channel(self):
@@ -117,6 +123,13 @@ class TestMutualInformation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mutual_information(np.array([0.2, 0.3, 0.5]), make_bsc(0.1))
+
+    @pytest.mark.parametrize("probs, match", [
+        ([np.nan, 1.0], "entries"), ([-0.5, 1.5], "entries"), ([0.3, 0.3], "sum to 1"),
+    ])
+    def test_rejects_invalid_laws(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            mutual_information(np.array(probs), make_bsc(0.2))
 
     def test_bec_factor_identity(self):
         # erasure channels pass (1 - tau) of the input entropy through

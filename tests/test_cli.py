@@ -113,8 +113,8 @@ class TestCheckMc:
         a.write_text(make_bec(0.3).to_json())
         assert run(["check-mc", "json", a, a, "--resolution", 500]) == 0
 
-    def test_bad_params(self):
-        assert run(["check-mc", "becbsc", "zero", "och"]) == 2
+    def test_bad_params(self, capsys):
+        assert "zero" in assert_clean_exit_2(["check-mc", "becbsc", "zero", "och"], capsys)
 
     def test_unordered_pair_reported_violated(self, capsys):
         assert run(["check-mc", "becbsc", 0.8, 0.2]) == 1
@@ -428,6 +428,47 @@ class TestFlagValues:
     def test_threads_below_one(self, tmp_path, capsys, command, threads):
         argv = SUBCOMMAND_ARGV[command] + ["--threads", threads, "--out", tmp_path / "out"]
         assert "threads must be >= 1" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestFailureContract:
+    """Input that a solver cannot meet or that does not fit in memory is
+    invalid input: exit 2 with an ``error:`` line, and no file written."""
+
+    # 200 bisection steps cannot narrow a bracket to 1e-300
+    @pytest.mark.parametrize("argv", [
+        ["region", "becbsc", 0.1, 0.2, "--c12", 0.2],
+        ["sweep", "gaussian", 5, 0.5, "--points", 3],
+        ["fig3", "--grid", 11],
+    ])
+    def test_unreachable_tol(self, tmp_path, capsys, argv):
+        err = assert_clean_exit_2(argv + ["--tol", "1e-300", "--out", tmp_path / "out"], capsys)
+        assert "did not reach" in err
+        assert not (tmp_path / "out").exists()
+
+    # a failed allocation is injected: a real one may succeed on an
+    # overcommitting host
+    @pytest.mark.parametrize("command, module, name", [
+        ("region", "coopbc.regions", "inner_boundary"),
+        ("check-mc", "coopbc.cli", "is_more_capable"),
+        ("simulate", "coopbc.dnfsim", "build_superposition_codebook"),
+    ])
+    def test_failed_allocation(self, tmp_path, capsys, monkeypatch, command, module, name):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(f"{module}.{name}", out_of_memory)
+        argv = SUBCOMMAND_ARGV[command] + ["--out", tmp_path / "out"]
+        assert "Unable to allocate" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_region_prints_nothing_on_invalid_grid(self, tmp_path, capsys):
+        code = run(["region", "gaussian", 5, 0.5, "--c12", 0.2, "--grid", 1,
+                    "--out", tmp_path / "out"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
 

@@ -75,7 +75,7 @@ FLAGS = {
     "--which": Tokens(["inner", "outer", "both"], ["none"]),
     "--grid": Tokens(["2", "11", "201"], ["-1", "0", "1", "abc"]),
     "--format": Tokens(["csv", "json"], ["xml"]),
-    "--tol": Tokens(["1e-6", "1e-10"], ["nan", "inf", "0", "-1", "abc"]),
+    "--tol": Tokens(["1e-6", "1e-10"], ["nan", "inf", "0", "-1", "abc", "1e-300"]),
     "--base": Tokens(["bits", "nats"], ["e"]),
     "--threads": Tokens(["1", "2"], ["0", "-1", "abc"]),
     "--seed": Tokens(["0", "7"], ["-1", "abc"]),

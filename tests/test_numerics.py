@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from coopbc.numerics import (
     BracketError,
+    BudgetExceededError,
     IterationLimitError,
     LogBase,
     Tolerance,
@@ -183,6 +184,11 @@ class TestBisectMonotone:
         tol = Tolerance(abs_tol=1e-300, max_iters=5)
         with pytest.raises(IterationLimitError):
             bisect_monotone(lambda v: v, 0.0, 1.0, 0.3, tol=tol)
+
+    def test_input_caused_errors_are_value_errors(self):
+        # an unreachable tolerance and an over-budget size are invalid input
+        assert issubclass(IterationLimitError, ValueError)
+        assert issubclass(BudgetExceededError, ValueError)
 
     def test_endpoint_clamps(self):
         assert bisect_monotone(lambda v: v, 0.0, 1.0, 0.0) == 0.0

@@ -492,9 +492,3 @@ class TestRateRegionBoundary:
                 np.array([0.2, 0.5]), np.array([0.1, 0.6]),
                 np.array([0.0, 1.0]), np.array(["proven", "proven"]),
             )
-
-    def test_points_accessor(self):
-        boundary = outer_boundary(self.FAM if hasattr(self, "FAM") else gaussian_family(BC, 0.5), 11)
-        pts = boundary.points
-        assert len(pts) == len(boundary)
-        assert pts[0].r1 == boundary.r1[0]
