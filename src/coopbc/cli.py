@@ -61,19 +61,18 @@ def cmd_region(args) -> int:
     fam = bc.family(args.c12, base)
     a_th = bc.threshold(args.c12, base, tol)
     r1_th = fam.f1(a_th)
-    # every frontier is computed before anything is printed
-    boundaries = []
-    if args.which in ("inner", "both"):
-        boundaries.append(("inner", regions.inner_boundary(fam, args.grid)))
-    if args.which in ("outer", "both"):
-        boundaries.append(("outer", regions.outer_boundary(fam, args.grid)))
-    out = Path(args.out)
+    # every frontier is computed and written before anything is printed
+    written = [
+        _emit_boundary(Path(args.out) / name, sweep(fam, args.grid), args.format)
+        for name, sweep in (("inner", regions.inner_boundary), ("outer", regions.outer_boundary))
+        if args.which in (name, "both")
+    ]
     print(f"C1 = {_fmt(fam.c1)} {args.base}")
     print(f"C2 = {_fmt(fam.c2)} {args.base}")
     print(f"alpha_th = {_fmt(a_th)}")
     print(f"r1_th = {_fmt(r1_th)} {args.base}")
-    for name, boundary in boundaries:
-        print(f"wrote {_emit_boundary(out / name, boundary, args.format)}")
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -194,31 +193,26 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     _write(out / "report.json", report.to_json() + "\n")
     row_file = out / "sim_sweep.csv"
-    header = (
-        "channel,n,r1,r2,c12,trials,seed,"
-        "user1_joint_errors,user2_errors,error_events,p_e_estimate,p_e_half_width"
-    )
-    row = ",".join(
-        [
-            args.family,
-            str(args.n),
-            _fmt(args.r1),
-            _fmt(args.r2),
-            _fmt(args.c12),
-            str(args.trials),
-            str(args.seed),
-            str(report.user1_joint_errors),
-            str(report.user2_errors),
-            str(report.error_events),
-            _fmt(report.p_e_estimate),
-            _fmt(report.p_e_half_width),
-        ]
-    )
+    columns = {
+        "channel": args.family,
+        "n": str(args.n),
+        "r1": _fmt(args.r1),
+        "r2": _fmt(args.r2),
+        "c12": _fmt(args.c12),
+        "trials": str(args.trials),
+        "seed": str(args.seed),
+        "user1_joint_errors": str(report.user1_joint_errors),
+        "user2_errors": str(report.user2_errors),
+        "error_events": str(report.error_events),
+        "p_e_estimate": _fmt(report.p_e_estimate),
+        "p_e_half_width": _fmt(report.p_e_half_width),
+    }
+    row = ",".join(columns.values())
     if row_file.exists():
         with open(row_file, "a", newline="\n") as fh:
             fh.write(row + "\n")
     else:
-        _write(row_file, header + "\n" + row + "\n")
+        _write(row_file, ",".join(columns) + "\n" + row + "\n")
     print(report.to_json())
     print(f"wrote {out / 'report.json'} and appended to {row_file}")
     return EXIT_OK
@@ -240,7 +234,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, tol: str = "") -> None:
     for flag in flags:
         p.add_argument(f"--{flag}", **_FLAGS[flag])
     if tol:
-        p.add_argument("--tol", type=float, default=1e-10, help=tol)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol, help=tol)
 
 
 _THRESHOLD_TOL = "bisection width of the becbsc threshold (the Gaussian threshold is closed-form)"
@@ -271,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-mc", help="scan for a violation of the channel ordering")
     p.add_argument("family", choices=["becbsc", "json"])
     p.add_argument("params_raw", nargs=2, help="tau1 p2 (becbsc) or two channel-matrix JSON paths")
-    p.add_argument("--resolution", type=int, default=10_000)
+    p.add_argument("--resolution", type=int, default=10_000,
+                   help="grid points over P_X(0) for binary inputs; larger alphabets always "
+                   "scan a 100-step simplex lattice plus 10^5 Dirichlet samples")
     _add_common(p, tol="slack below zero allowed in the ordering gap")
     p.set_defaults(func=cmd_check_mc)
 
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--input-law", default="", help="path to an auxiliary-joint JSON")
     p.add_argument("--power-split", type=float, default=None)
-    p.add_argument("--codeword-budget", type=int, default=65536)
+    p.add_argument("--codeword-budget", type=int, default=dnfsim.CodeConfig.codeword_budget)
     _add_common(p, "threads", "seed")
     p.set_defaults(func=cmd_simulate)
 

@@ -2,9 +2,10 @@
 
 The transmitter superimposes a satellite codeword (user 1's message) on a
 cloud center (user 2's message).  User 1 decodes both messages by exhaustive
-maximum likelihood over the whole codebook and forwards the bin index of its
-estimate of user 2's message over the rate-limited link; user 2 then decodes
-by maximum likelihood over the cloud centers inside that bin.
+maximum likelihood over the whole codebook and forwards the bin index
+m2_hat // bin_size of its estimate of user 2's message over the rate-limited
+link; user 2 then decodes by maximum likelihood over the cloud centers inside
+that bin.
 
 Everything is deterministic given the seed: the codebook derives its stream
 from (seed, 0) and trial t from (seed, 1, t), so reports are reproducible
@@ -17,6 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -88,17 +90,6 @@ class CodeConfig:
     @property
     def nu2(self) -> int:
         return math.ceil(2.0 ** (self.n * self.r2))
-
-    @property
-    def n_bins(self) -> int:
-        # the link may be far wider than the code (c12 > r2 makes every bin a
-        # singleton), so compare the exponent with the float range first and
-        # build a power past it as an integer
-        exponent = self.n * self.c12
-        if exponent < 1023:
-            return math.ceil(2.0 ** exponent)
-        whole = math.floor(exponent)
-        return int(2.0 ** (exponent - whole) * 2.0**52) << (whole - 52)
 
     @property
     def bin_size(self) -> int:
@@ -188,13 +179,16 @@ def build_superposition_codebook(cfg: CodeConfig) -> Codebook:
     return Codebook(clouds, satellites)
 
 
-def bin_assignment(cfg: CodeConfig) -> np.ndarray:
-    """Bin index for each user-2 message: consecutive blocks of bin_size messages."""
-    return (np.arange(cfg.nu2) // cfg.bin_size).astype(np.int64)
-
-
 def _bin_ranges(cfg: CodeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """First message and message count of each bin of ``bin_assignment``."""
+    """First message and message count of each bin; message m lies in bin
+    m // bin_size.
+
+    There are ceil(nu2 / bin_size) bins, never more than the ceil(2**(n*c12))
+    indices the link carries.  With A = 2**(n*r2) and S = 2**(n*(r2-c12)) this
+    is ceil(A) <= ceil(A/S) * ceil(S), true because the right side is an
+    integer of at least A; when c12 >= r2 every bin is a singleton and
+    nu2 = ceil(A) <= ceil(2**(n*c12)) directly.
+    """
     starts = np.arange(0, cfg.nu2, cfg.bin_size, dtype=np.int64)
     return starts, np.minimum(cfg.nu2 - starts, cfg.bin_size)
 
@@ -245,19 +239,21 @@ def simulate(
     counts mismatches on unerased positions (exact ties, first-index
     tie-break); Gaussian decoding uses squared distance.
 
-    The channel pair need not be ordered: either receiver may be the
-    stronger one.
+    Each family only checks the input law, draws the trials, forms both
+    received words and binds its two decoders; the decode-and-forward loop
+    below is shared.  The channel pair need not be ordered: either receiver
+    may be the stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     book = build_superposition_codebook(cfg)
-    bins = bin_assignment(cfg)
-    cand_start, cand_count = _bin_ranges(cfg)
-    nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
-    sat_flat = np.ascontiguousarray(book.satellites.reshape(nu1 * nu2, n))
+    nu2 = cfg.nu2
+    sat_flat = book.satellites.reshape(cfg.nu1 * nu2, cfg.n)
 
+    # decode1(ys) -> codeword index (m1*nu2 + m2); decode2(ys, *bin ranges,
+    # bin of each trial) -> m2
     if isinstance(channels, BecBscBC):
         if cfg.input_law is None:
             raise ValueError("discrete channels require a discrete input law")
@@ -267,21 +263,10 @@ def simulate(
         x = sat_flat[m1 * nu2 + m2]
         y1 = np.where(u_erase < channels.tau1, _accel.ERASURE, x).astype(np.int8)
         y2 = np.where(u_flip < channels.p2, 1 - x, x).astype(np.int8)
-        q2 = cfg.input_law.p_x_given_u @ np.array(
-            [[1.0 - channels.p2, channels.p2], [channels.p2, 1.0 - channels.p2]]
-        )
         with np.errstate(divide="ignore"):
-            logq2 = np.log(q2)
-        clouds = np.ascontiguousarray(book.clouds.astype(np.int8))
-
-        def decode_chunk(sl):
-            flat_hat = _accel.decode_map_int(sat_flat, y1[sl])
-            m2_hat_u1 = flat_hat % nu2
-            m2_hat_u2 = _accel.decode_map_float(
-                clouds, logq2, y2[sl], cand_start, cand_count, bins[m2_hat_u1]
-            )
-            return flat_hat // nu2, m2_hat_u1, m2_hat_u2
-
+            logq2 = np.log(cfg.input_law.p_x_given_u @ channels.pair().ch2.transitions)
+        decode1 = partial(_accel.decode_map_int, sat_flat)
+        decode2 = partial(_accel.decode_map_float, book.clouds, logq2)
     elif isinstance(channels, GaussianBC):
         if cfg.input_law is not None:
             raise ValueError("Gaussian channels require a power-split input law")
@@ -290,31 +275,29 @@ def simulate(
         root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
         y1 = root_s1 * x + z1
         y2 = root_s2 * x + z2
-        clouds = np.ascontiguousarray(book.clouds)
-
-        def decode_chunk(sl):
-            flat_hat = _accel.decode_sq(sat_flat, root_s1, y1[sl])
-            m2_hat_u1 = flat_hat % nu2
-            m2_hat_u2 = _accel.decode_sq_restricted(
-                clouds, root_s2, y2[sl], cand_start, cand_count, bins[m2_hat_u1]
-            )
-            return flat_hat // nu2, m2_hat_u1, m2_hat_u2
-
+        decode1 = partial(_accel.decode_sq, sat_flat, root_s1)
+        decode2 = partial(_accel.decode_sq_restricted, book.clouds, root_s2)
     else:
         raise ValueError(f"unsupported channel family: {channels!r}")
 
+    cand_start, cand_count = _bin_ranges(cfg)
+
+    def decode_chunk(sl):
+        flat_hat = decode1(y1[sl])
+        forwarded = (flat_hat % nu2) // cfg.bin_size
+        return flat_hat // nu2, decode2(y2[sl], cand_start, cand_count, forwarded)
+
+    bounds = np.linspace(0, trials, threads + 1).astype(int)
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if threads > 1:
-        bounds = np.linspace(0, trials, threads + 1).astype(int)
-        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(decode_chunk, slices))
-        m1_hat = np.concatenate([p[0] for p in parts])
-        m2_hat_u2 = np.concatenate([p[2] for p in parts])
     else:
-        m1_hat, _, m2_hat_u2 = decode_chunk(slice(0, trials))
+        parts = list(map(decode_chunk, slices))
+    m1_hat, m2_hat = (np.concatenate(p) for p in zip(*parts))
 
     e1 = m1_hat != m1
-    e2 = m2_hat_u2 != m2
+    e2 = m2_hat != m2
     events = int(np.count_nonzero(e1 | e2))
     return SimReport(
         trials=trials,

@@ -29,6 +29,18 @@ class TestRegion:
         assert np.all(np.diff(inner.r1) > 0)
         assert np.all(outer.interp_r2(inner.r1) >= inner.r2 - 1e-12)
 
+    def test_stdout_text(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["region", "gaussian", 5, 0.5, "--c12", 0.2, "--grid", 11, "--out", "o"]) == 0
+        assert capsys.readouterr().out == (
+            "C1 = 1.29248125036 bits\n"
+            "C2 = 0.292481250361 bits\n"
+            "alpha_th = 0.583027521095\n"
+            "r1_th = 0.98453150743 bits\n"
+            "wrote o/inner.csv\n"
+            "wrote o/outer.csv\n"
+        )
+
     def test_becbsc_rejects_large_c12(self, tmp_path, capsys):
         code = run(["region", "becbsc", 0.1, 0.2, "--c12", 1.0, "--out", tmp_path])
         assert code == 2
@@ -220,6 +232,8 @@ class TestSimulate:
         assert first == second
         rows = (tmp_path / "sim_sweep.csv").read_text().strip().split("\n")
         assert len(rows) == 3  # header + two appended rows
+        assert rows[0] == ("channel,n,r1,r2,c12,trials,seed,user1_joint_errors,user2_errors,"
+                           "error_events,p_e_estimate,p_e_half_width")
         assert rows[1] == rows[2]
 
     def test_gaussian_needs_power_split(self, tmp_path):
@@ -470,6 +484,17 @@ class TestFailureContract:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not (tmp_path / "out").exists()
+
+    def test_region_prints_nothing_on_unwritable_out(self, tmp_path, capsys):
+        # the frontier files are written before the summary is printed
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = run(["region", "gaussian", 5, 0.5, "--c12", 0.2, "--grid", 11, "--out", afile])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 SUBCOMMAND_ARGV = {

@@ -1,3 +1,7 @@
+import math
+from decimal import ROUND_CEILING, Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,6 @@ from coopbc.dnfsim import (
     CodeConfig,
     SimReport,
     _bin_ranges,
-    bin_assignment,
     build_superposition_codebook,
     simulate,
 )
@@ -67,38 +70,59 @@ class TestCodeConfig:
             GaussianBC(0.0, 1.0)
 
 
+def _bins_of(cfg):
+    """Bin of each user-2 message, the one binning rule: m // bin_size."""
+    return np.arange(cfg.nu2) // cfg.bin_size
+
+
+def _link_indices(n, c12):
+    """ceil(2**(n*c12)) as an exact integer, for the exact value of the float c12.
+
+    A non-integer exponent gives an irrational power, so it is evaluated in
+    decimal with enough digits that the ceiling is exact."""
+    x = n * Fraction(c12)
+    if x.denominator == 1:
+        return 2**x.numerator
+    with localcontext() as ctx:
+        ctx.prec = 50 + int(x) // 3
+        power = (Decimal(x.numerator) / x.denominator * Decimal(2).ln()).exp()
+    return int(power.to_integral_value(rounding=ROUND_CEILING))
+
+
 class TestBinAssignment:
     def test_singletons_when_link_covers_rate(self):
         cfg = CodeConfig(n=8, r1=0.25, r2=0.25, c12=0.3, seed=0, input_law=UNIFORM_LAW)
-        bins = bin_assignment(cfg)
+        starts, counts = _bin_ranges(cfg)
         assert cfg.bin_size == 1
-        np.testing.assert_array_equal(bins, np.arange(cfg.nu2))
+        np.testing.assert_array_equal(starts, np.arange(cfg.nu2))
+        np.testing.assert_array_equal(counts, np.ones(cfg.nu2))
 
     def test_single_bin_without_link(self):
         cfg = CodeConfig(n=8, r1=0.25, r2=0.25, c12=0.0, seed=0, input_law=UNIFORM_LAW)
-        bins = bin_assignment(cfg)
-        assert cfg.n_bins == 1
-        assert np.all(bins == 0)
+        starts, counts = _bin_ranges(cfg)
+        assert starts.tolist() == [0] and counts.tolist() == [cfg.nu2]
+        assert np.all(_bins_of(cfg) == 0)
 
     def test_four_bins_of_four(self):
         cfg = CodeConfig(n=8, r1=0.0, r2=0.5, c12=0.25, seed=0, input_law=UNIFORM_LAW)
-        assert cfg.nu2 == 16 and cfg.n_bins == 4 and cfg.bin_size == 4
-        bins = bin_assignment(cfg)
-        np.testing.assert_array_equal(np.bincount(bins), [4, 4, 4, 4])
+        assert cfg.nu2 == 16 and cfg.bin_size == 4
+        np.testing.assert_array_equal(np.bincount(_bins_of(cfg)), [4, 4, 4, 4])
+        assert _bin_ranges(cfg)[1].tolist() == [4, 4, 4, 4]
 
     def test_link_wider_than_the_float_range(self):
         # 2**(2000*0.6) overflows a float, yet the code has 16 codewords
         cfg = CodeConfig(n=2000, r1=0.001, r2=0.001, c12=0.6, seed=0, input_law=UNIFORM_LAW)
-        assert cfg.n_bins == 2**1200
         assert cfg.nu1 * cfg.nu2 == 16 and cfg.bin_size == 1
+        assert _bin_ranges(cfg)[0].size == cfg.nu2
 
     def test_every_message_lands_in_a_valid_bin(self):
         cfg = CodeConfig(n=10, r1=0.1, r2=0.45, c12=0.2, seed=0, input_law=UNIFORM_LAW)
-        bins = bin_assignment(cfg)
-        assert bins.min() >= 0 and bins.max() < cfg.n_bins
-        # bin consistency: the candidate set of bin(m2) always contains m2
+        starts, counts = _bin_ranges(cfg)
+        # bin consistency: the candidate range of bin(m2) always contains m2
         for m2 in range(cfg.nu2):
-            assert bins[m2] == m2 // cfg.bin_size
+            b = m2 // cfg.bin_size
+            assert 0 <= b < starts.size
+            assert starts[b] <= m2 < starts[b] + counts[b]
 
     @pytest.mark.parametrize("n, r2, c12", [
         (8, 0.25, 0.3),     # singletons
@@ -109,12 +133,29 @@ class TestBinAssignment:
     ])
     def test_ranges_are_the_bins_of_the_assignment(self, n, r2, c12):
         cfg = CodeConfig(n=n, r1=0.0, r2=r2, c12=c12, seed=0, input_law=UNIFORM_LAW)
-        bins = bin_assignment(cfg)
+        bins = _bins_of(cfg)
         starts, counts = _bin_ranges(cfg)
         assert starts.size == counts.size == bins.max() + 1
         for b, (start, count) in enumerate(zip(starts, counts)):
             np.testing.assert_array_equal(np.flatnonzero(bins == b),
                                           np.arange(start, start + count))
+
+    def test_bins_never_exceed_the_link_indices(self):
+        # ceil(A) <= ceil(A/S) * ceil(S) with A = 2**(n*r2), S = 2**(n*(r2-c12)).
+        # The bound needs the exact ceiling: the float 0.1 lies above 0.1, so at
+        # n=20, r2=0.35000000000000003 (on the grid) 129 messages in bins of 32
+        # use five bins of a five-index link, where ceil(2.0 ** (20 * 0.1)) is 4
+        assert _link_indices(20, 0.1) == 5 and math.ceil(2.0 ** (20 * 0.1)) == 4
+        assert _link_indices(8, 0.3) == 6  # 2**2.4 = 5.28
+        assert 2**1199 < _link_indices(2000, 0.6) <= 2**1200  # the float 0.6 lies below 0.6
+        for n in range(1, 21):
+            for r2 in np.arange(0.0, 0.66, 0.05):
+                for c12 in np.arange(0.0, 0.76, 0.05):
+                    cfg = CodeConfig(n=n, r1=0.0, r2=float(r2), c12=float(c12), seed=0,
+                                     input_law=UNIFORM_LAW)
+                    used = _bin_ranges(cfg)[0].size
+                    assert used == -(-cfg.nu2 // cfg.bin_size)
+                    assert used <= _link_indices(n, float(c12)), (n, r2, c12)
 
 
 class TestCodebook:
@@ -252,6 +293,39 @@ class TestSimulate:
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=15, power_split=0.5)
         with pytest.raises(ValueError):
             simulate(cfg, BecBscBC(0.1, 0.2), 10)
+
+
+# Exact reports of small runs: both families; singleton, multi-bin and one-bin
+# layouts; 2 trials against 3 threads in the one-bin cells.  Any drift in the
+# codebook or trial streams, a decoder or the forwarded bin changes them.
+SYM16 = symmetric_law(0.16)
+PINNED = {
+    "becbsc-singletons": (
+        BecBscBC(0.1, 0.2), dict(n=10, r1=0.2, r2=0.2, c12=0.3, seed=31, input_law=SYM16),
+        SimReport(300, 4, 3, 6, 0.02, 0.01584249138656333)),
+    "becbsc-five-bins-last-short": (
+        BecBscBC(0.1, 0.2), dict(n=12, r1=0.25, r2=0.35, c12=0.2, seed=32, input_law=SYM16),
+        SimReport(300, 29, 100, 119, 0.39666666666666667, 0.05535883696059401)),
+    "becbsc-one-bin": (
+        BecBscBC(0.1, 0.2), dict(n=12, r1=0.3, r2=0.25, c12=0.0, seed=33, input_law=SYM16),
+        SimReport(2, 1, 1, 2, 1.0, 0.0)),
+    "gaussian-singletons": (
+        GaussianBC(5.0, 0.5), dict(n=10, r1=0.3, r2=0.2, c12=0.3, seed=34, power_split=0.4),
+        SimReport(200, 7, 2, 7, 0.035, 0.025470575179999372)),
+    "gaussian-four-bins": (
+        GaussianBC(5.0, 0.5), dict(n=12, r1=0.3, r2=0.4, c12=0.15, seed=35, power_split=0.35),
+        SimReport(200, 8, 76, 79, 0.395, 0.06775124943497352)),
+    "gaussian-one-bin": (
+        GaussianBC(5.0, 0.5), dict(n=8, r1=0.4, r2=0.3, c12=0.0, seed=36, power_split=0.35),
+        SimReport(2, 0, 2, 2, 1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("label", list(PINNED))
+def test_pinned_reports(label, threads):
+    channels, config, expected = PINNED[label]
+    assert simulate(CodeConfig(**config), channels, expected.trials, threads=threads) == expected
 
 
 class TestSimReport:
