@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import AuxiliaryJoint, ChannelPair, make_bec, make_bsc
 from .numerics import (
     DEFAULT_TOL,
@@ -43,10 +41,8 @@ class BecBscBC:
     p2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.tau1 <= 1.0:
-            raise ValueError(f"erasure probability must lie in [0, 1], got {self.tau1}")
-        if not 0.0 <= self.p2 <= 0.5:
-            raise ValueError(f"crossover must lie in [0, 1/2], got {self.p2}")
+        make_bec(self.tau1)
+        make_bsc(self.p2)
 
     def cap1(self, base: LogBase = LogBase.BITS) -> float:
         return (1.0 - self.tau1) * base.one_bit()
@@ -153,15 +149,13 @@ def mgl_gap(p_u, p_x_given_u, p2: float, base: LogBase = LogBase.BITS) -> float:
     would leak solver noise of a few 1e-12 into a quantity whose sign is
     the whole point.
     """
-    if not 0.0 <= p2 <= 0.5:
-        raise ValueError(f"requires p2 in [0, 1/2], got {p2}")
+    make_bsc(p2)
     joint = AuxiliaryJoint(p_u, p_x_given_u)
     if joint.x_size != 2:
         raise ValueError(f"X must be binary: p_x_given_u shape {joint.p_x_given_u.shape}")
     pu, x1 = joint.p_u, joint.p_x_given_u[:, 1]
-    h_x_given_u = float(pu @ np.array([binary_entropy(float(t), base) for t in x1]))
-    y1 = np.array([binary_convolution(float(t), p2) for t in x1])
-    h_y_given_u = float(pu @ np.array([binary_entropy(float(t), base) for t in y1]))
+    h_x_given_u = float(pu @ binary_entropy(x1, base))
+    h_y_given_u = float(pu @ binary_entropy(binary_convolution(x1, p2), base))
     q = binary_entropy_inv(h_x_given_u, base, Tolerance(abs_tol=1e-14, max_iters=200))
     bound = binary_entropy(binary_convolution(q, p2), base)
     return h_y_given_u - bound

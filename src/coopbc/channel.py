@@ -184,13 +184,6 @@ def make_bec(tau: float) -> DiscreteChannel:
     return DiscreteChannel(np.array([[1.0 - tau, 0.0, tau], [0.0, 1.0 - tau, tau]]))
 
 
-def _as_probs(px, n: int) -> np.ndarray:
-    p = (px if isinstance(px, InputDistribution) else InputDistribution(px)).probs
-    if p.shape != (n,):
-        raise ValueError(f"input distribution must have length {n}, got shape {p.shape}")
-    return p
-
-
 def _mi_batch_nats(pxs: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     """I(X;Y) in nats for a batch of input rows against one channel matrix."""
     pys = pxs @ transitions
@@ -200,15 +193,20 @@ def _mi_batch_nats(pxs: np.ndarray, transitions: np.ndarray) -> np.ndarray:
 
 
 def mutual_information(px, ch: DiscreteChannel, base: LogBase = LogBase.BITS) -> float:
-    """I(X;Y) between the given input law and the channel output."""
-    p = _as_probs(px, ch.input_size)
+    """I(X;Y) between the given input law (an ``InputDistribution`` or a
+    probability vector) and the channel output."""
+    p = (px if isinstance(px, InputDistribution) else InputDistribution(px)).probs
+    if p.shape != (ch.input_size,):
+        raise ValueError(
+            f"input distribution must have length {ch.input_size}, got shape {p.shape}"
+        )
     i_nats = float(_mi_batch_nats(p[None, :], ch.transitions)[0])
     return i_nats / base.ln_scale
 
 
 def capacity(
     ch: DiscreteChannel,
-    tol: Optional[Tolerance] = None,
+    tol: Tolerance = Tolerance(abs_tol=DEFAULT_TOL.abs_tol, max_iters=10_000),
     base: LogBase = LogBase.BITS,
 ) -> tuple[float, InputDistribution]:
     """Channel capacity by Blahut-Arimoto fixed-point iteration.
@@ -222,8 +220,6 @@ def capacity(
     Convergence is linear, not quadratic, so the default iteration cap is
     much larger than the bisection default.
     """
-    if tol is None:
-        tol = Tolerance(abs_tol=DEFAULT_TOL.abs_tol, max_iters=10_000)
     transitions = ch.transitions
     n_x = ch.input_size
     r = np.full(n_x, 1.0 / n_x)

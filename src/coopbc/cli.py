@@ -165,7 +165,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     base, tol = LogBase(args.base), Tolerance(abs_tol=args.tol)
     bc = FAMILIES[args.family](*args.params)
-    c1, c2 = bc.cap1(base), bc.cap2(base)
+    # the pair's ordering first: an unordered pair also makes the default grid decreasing
+    c1, c2 = regions.check_c12(bc, 0.0, base)
     if args.c12:
         grid = [float(v) for v in args.c12.split(",")]
     else:
@@ -178,9 +179,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # code sizes are 2**(n*r): the simulator's rates are always in bits
-    if args.base != "bits":
-        raise ValueError(f"simulate takes rates in bits, not --base {args.base}")
     channels = FAMILIES[args.family](*args.params)
     law = None
     if args.input_law:
@@ -219,6 +217,7 @@ def cmd_simulate(args) -> int:
 
 
 _FLAGS = {
+    "base": dict(choices=["bits", "nats"], default="bits"),
     "grid": dict(type=int, default=2001, help="boundary sampling grid size"),
     "format": dict(choices=["csv", "json"], default="csv"),
     "threads": dict(type=int, default=1),
@@ -227,9 +226,8 @@ _FLAGS = {
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str, tol: str = "") -> None:
-    """--base and --out, plus the named flags and --tol (given its help) that the
-    subcommand reads; a flag it would ignore is not registered, so passing one exits 2."""
-    p.add_argument("--base", choices=["bits", "nats"], default="bits")
+    """--out, plus the named flags and --tol (given its help) that the subcommand
+    reads; a flag it would ignore is not registered, so passing one exits 2."""
     p.add_argument("--out", default="out", help="output directory")
     for flag in flags:
         p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -253,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=float, nargs=2, help="s1 s2 (gaussian) or tau1 p2 (becbsc)")
     p.add_argument("--c12", type=float, required=True)
     p.add_argument("--which", choices=["inner", "outer", "both"], default="both")
-    _add_common(p, "grid", "format", tol=_THRESHOLD_TOL)
+    _add_common(p, "base", "grid", "format", tol=_THRESHOLD_TOL)
     p.set_defaults(func=cmd_region)
 
     for name, tol in (("fig2", ""), ("fig3", _THRESHOLD_TOL)):
         p = sub.add_parser(name, help=f"emit the {name} dataset (frontier per c12 + diamonds)")
         p.add_argument("--c12", default="", help="comma-separated cooperation rates")
-        _add_common(p, "grid", "format", tol=tol)
+        _add_common(p, "base", "grid", "format", tol=tol)
         p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser("check-mc", help="scan for a violation of the channel ordering")
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=10_000,
                    help="grid points over P_X(0) for binary inputs; larger alphabets always "
                    "scan a 100-step simplex lattice plus 10^5 Dirichlet samples")
-    _add_common(p, tol="slack below zero allowed in the ordering gap")
+    _add_common(p, "base", tol="slack below zero allowed in the ordering gap")
     p.set_defaults(func=cmd_check_mc)
 
     p = sub.add_parser("oracle-compare", help="grid oracle vs parametric frontiers (becbsc)")
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--u-size", type=int, default=2, dest="u_size")
     p.add_argument("--budget", type=float, default=5e-3, help="max allowed frontier deviation")
-    _add_common(p, "grid", "format", "threads")
+    _add_common(p, "base", "grid", "format", "threads")
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("sweep", help="threshold table over a cooperation-rate grid")
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=float, nargs=2)
     p.add_argument("--c12", default="", help="comma-separated grid (default: linspace)")
     p.add_argument("--points", type=int, default=50)
-    _add_common(p, tol="bisection width of each threshold")
+    _add_common(p, "base", tol="bisection width of each threshold")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the layered coding scheme")
@@ -301,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-law", default="", help="path to an auxiliary-joint JSON")
     p.add_argument("--power-split", type=float, default=None)
     p.add_argument("--codeword-budget", type=int, default=dnfsim.CodeConfig.codeword_budget)
+    # code sizes are ceil(2**(n*r)), so the rates are in bits and --base is not taken
     _add_common(p, "threads", "seed")
     p.set_defaults(func=cmd_simulate)
 

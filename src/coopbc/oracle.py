@@ -41,9 +41,10 @@ class GridSpec:
     """Grid geometry for the exhaustive scan.
 
     ``steps`` is the number of subdivisions per probability coordinate, so
-    each 1-D grid has steps+1 points.  ``u_cardinality`` defaults to input
-    alphabet + 1 headroom for binary inputs; 2 is enough for the
-    erasure/symmetric pair and much faster.  A scan may enumerate at most
+    each 1-D grid has steps+1 points.  ``u_cardinality`` defaults to 3, which
+    is |X| + 1 for binary inputs; the default does not follow the input
+    alphabet.  ``oracle-compare --u-size`` defaults to 2, which is enough for
+    the erasure/symmetric pair and much faster.  A scan may enumerate at most
     ``EVAL_BUDGET`` joints.
     """
 
@@ -130,32 +131,38 @@ class _Fold:
         return self.r1, self.r2
 
 
-def _scan_corners(
-    pair: ChannelPair, c12: float, spec: GridSpec, base: LogBase, threads: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pareto-filtered (r1, r2) corner clouds for the cut and uncut regions.
+def oracle_both(
+    pair: ChannelPair,
+    c12: float,
+    spec: GridSpec,
+    base: LogBase = LogBase.BITS,
+    threads: int = 1,
+) -> tuple[RateRegionBoundary, RateRegionBoundary]:
+    """One grid pass yielding both the cut (inner) and uncut (outer) frontiers.
 
-    Returns (inner_r1, inner_r2, outer_r1, outer_r2).  Work is partitioned
-    by cloud-law composition; each chunk is filtered locally and its
-    survivors are folded into a running frontier in chunk order, so the
-    result is independent of the thread count.
+    Work is partitioned by cloud-law composition; each chunk is filtered
+    locally and its survivors are folded into a running frontier in chunk
+    order, so the result is independent of the thread count.  Corners within
+    1e-9 of the sum-rate line r1 + r2 = C1, or above it, are labelled
+    conjectured.
     """
+    if c12 < 0:
+        raise ValueError(f"cooperation rate must be nonnegative, got {c12}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     total = evaluation_count(pair, spec)
     if total > EVAL_BUDGET:
         raise BudgetExceededError(
             f"scan would evaluate {total} joints, over the budget of {EVAL_BUDGET}"
         )
-    m = spec.u_cardinality
-    trans1 = pair.ch1.transitions
-    scale = base.ln_scale
-    comps = _simplex_lattice(m, spec.steps)
-
     if pair.input_size > 2:
         warnings.warn(
             f"exhaustive scan over a {pair.input_size}-ary input: the row grid "
             "grows combinatorially, keep steps small",
-            stacklevel=3,
+            stacklevel=2,
         )
+    trans1 = pair.ch1.transitions
+    scale = base.ln_scale
     row_grid = _simplex_lattice(pair.input_size, spec.steps)
     rows_mi1, rows_py2, rows_h2 = _row_tables(row_grid, trans1, pair.ch2.transitions)
 
@@ -176,43 +183,24 @@ def _scan_corners(
         return inner_r1[ki], inner_r2[ki], a[ko], b[ko]
 
     inner, outer = _Fold(), _Fold()
-
-    def fold_in(parts):
-        for in_r1, in_r2, out_r1, out_r2 in parts:
+    comps = _simplex_lattice(spec.u_cardinality, spec.steps)
+    # a pool starts no thread before its first task, so threads=1 scans in this one
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = pool.map(scan_chunk, comps) if threads > 1 else map(scan_chunk, comps)
+        for in_r1, in_r2, out_r1, out_r2 in chunks:
             inner.add(in_r1, in_r2)
             outer.add(out_r1, out_r2)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_in(pool.map(scan_chunk, comps))
-    else:
-        fold_in(map(scan_chunk, comps))
-    return (*inner.frontier(), *outer.frontier())
-
-
-def _as_boundary(r1: np.ndarray, r2: np.ndarray, c1: float) -> RateRegionBoundary:
-    segment = np.where(
-        r1 + r2 >= c1 - 1e-9, SEGMENT_CONJECTURED, SEGMENT_PROVEN
-    )
-    alpha = np.full(r1.shape, np.nan)
-    return RateRegionBoundary(r1, r2, alpha, segment)
-
-
-def oracle_both(
-    pair: ChannelPair,
-    c12: float,
-    spec: GridSpec,
-    base: LogBase = LogBase.BITS,
-    threads: int = 1,
-) -> tuple[RateRegionBoundary, RateRegionBoundary]:
-    """One grid pass yielding both the cut (inner) and uncut (outer) frontiers."""
-    if c12 < 0:
-        raise ValueError(f"cooperation rate must be nonnegative, got {c12}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    in_r1, in_r2, out_r1, out_r2 = _scan_corners(pair, c12, spec, base, threads)
     c1, _ = capacity(pair.ch1, base=base)
-    return _as_boundary(in_r1, in_r2, c1), _as_boundary(out_r1, out_r2, c1)
+    return tuple(
+        RateRegionBoundary(
+            r1,
+            r2,
+            np.full(r1.shape, np.nan),
+            np.where(r1 + r2 >= c1 - 1e-9, SEGMENT_CONJECTURED, SEGMENT_PROVEN),
+        )
+        for r1, r2 in (inner.frontier(), outer.frontier())
+    )
 
 
 def frontier_deviation(a: RateRegionBoundary, b: RateRegionBoundary) -> float:

@@ -296,14 +296,14 @@ def sweep_thresholds(
     decreasing along an increasing grid; a violation raises
     MonotonicityError since it signals a broken family, not bad input.
     """
-    rows = []
-    for c12 in c12_grid:
-        fam = fam_factory(float(c12))
-        a_th = threshold_alpha(fam, tol)
-        rows.append((float(c12), a_th, fam.f1(a_th)))
-    c12s = [r[0] for r in rows]
+    c12s = [float(c12) for c12 in c12_grid]
     if any(b <= a for a, b in zip(c12s, c12s[1:])):
         raise ValueError("c12 grid must be strictly increasing")
+    rows = []
+    for c12 in c12s:
+        fam = fam_factory(c12)
+        a_th = threshold_alpha(fam, tol)
+        rows.append((c12, a_th, fam.f1(a_th)))
     for col, name in ((1, "alpha_th"), (2, "r1_th")):
         vals = [r[col] for r in rows]
         if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -342,17 +342,27 @@ def boundary_to_csv(boundary: RateRegionBoundary) -> str:
     return "".join(parts)
 
 
+def _boundary_from_points(points) -> RateRegionBoundary:
+    """The frontier through ``points``, a list of mappings from alpha, r1 and r2
+    to numbers and from segment to a label, as read from a frontier file.
+    Anything else, an empty list included, is a ValueError."""
+    try:
+        alpha, r1, r2 = (np.array([float(p[k]) for p in points]) for k in ("alpha", "r1", "r2"))
+        segment = np.array([str(p["segment"]) for p in points])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            "every frontier point needs a numeric alpha, r1 and r2 and a segment"
+        ) from None
+    return RateRegionBoundary(r1, r2, alpha, segment)
+
+
 def boundary_from_csv(text: str) -> RateRegionBoundary:
     lines = [ln for ln in text.split("\n") if ln]
-    if lines[0] != "alpha,r1,r2,segment":
-        raise ValueError(f"unexpected frontier CSV header: {lines[0]!r}")
-    cols = [ln.split(",") for ln in lines[1:]]
-    return RateRegionBoundary(
-        np.array([float(c[1]) for c in cols]),
-        np.array([float(c[2]) for c in cols]),
-        np.array([float(c[0]) for c in cols]),
-        np.array([c[3] for c in cols]),
-    )
+    header = lines[0] if lines else ""
+    if header != "alpha,r1,r2,segment":
+        raise ValueError(f"unexpected frontier CSV header: {header!r}")
+    fields = header.split(",")
+    return _boundary_from_points([dict(zip(fields, ln.split(","))) for ln in lines[1:]])
 
 
 def _json_numbers(column: np.ndarray) -> list[str]:
@@ -376,13 +386,10 @@ def boundary_to_json(boundary: RateRegionBoundary) -> str:
 
 
 def boundary_from_json(text: str) -> RateRegionBoundary:
-    pts = json.loads(text)["points"]
-    return RateRegionBoundary(
-        np.array([p["r1"] for p in pts]),
-        np.array([p["r2"] for p in pts]),
-        np.array([p["alpha"] for p in pts]),
-        np.array([p["segment"] for p in pts]),
-    )
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "points" not in doc:
+        raise ValueError('a frontier JSON file must be an object with a "points" list')
+    return _boundary_from_points(doc["points"])
 
 
 def thresholds_to_csv(rows: list[tuple[float, float, float]], c1: float) -> str:

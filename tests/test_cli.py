@@ -266,12 +266,16 @@ class TestSimulate:
         assert json.loads((tmp_path / "report.json").read_text())["trials"] == 10
 
     def test_rates_are_bits_only(self, tmp_path, capsys):
+        # code sizes are ceil(2**(n*r)), so simulate does not register --base
         law = self.law_file(tmp_path)
-        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
-                    "--n", 10, "--r1", 0.3, "--r2", 0.2, "--c12", 0.2,
-                    "--trials", 10, "--input-law", law, "--base", "nats", "--out", tmp_path])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                 "--n", 10, "--r1", 0.3, "--r2", 0.2, "--c12", 0.2,
+                 "--trials", 10, "--input-law", law, "--base", "nats", "--out", tmp_path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --base nats" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
     def test_becbsc_needs_law(self, tmp_path):

@@ -101,7 +101,7 @@ OPTIONAL = {
     "check-mc": ["--resolution", "--tol", "--base"],
     "oracle-compare": ["--u-size", "--budget", "--grid", "--format", "--threads", "--base"],
     "sweep": ["--c12", "--points", "--tol", "--base"],
-    "simulate": ["--codeword-budget", "--threads", "--seed", "--base"],
+    "simulate": ["--codeword-budget", "--threads", "--seed"],
 }
 
 

@@ -5,8 +5,16 @@ import pytest
 
 from coopbc import oracle
 from coopbc.becbsc import BecBscBC, becbsc_family
-from coopbc.channel import ChannelPair, DiscreteChannel, _compositions, make_bec, make_bsc
-from coopbc.numerics import Tolerance, bisect_monotone
+from coopbc.channel import (
+    AuxiliaryJoint,
+    ChannelPair,
+    DiscreteChannel,
+    _compositions,
+    conditional_informations,
+    make_bec,
+    make_bsc,
+)
+from coopbc.numerics import LogBase, Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
@@ -169,6 +177,33 @@ class TestAgainstParametric:
             assert boundary.r2.tobytes() == r2[keep].tobytes()
 
 
+def random_channel(rng, n_in, n_out):
+    return DiscreteChannel(rng.dirichlet(np.ones(n_out), size=n_in))
+
+
+@pytest.mark.parametrize("pair_name", ["becbsc", "ternary"])
+def test_kernel_matches_conditional_informations(pair_name):
+    """At the combination (0, 1, ..., m-1) of a row grid made of the joint's own
+    rows, the scan kernel's triple is the one-joint reference triple."""
+    rng = np.random.default_rng(17)
+    if pair_name == "becbsc":
+        pair = PAIR
+    else:
+        pair = ChannelPair(random_channel(rng, 3, 4), random_channel(rng, 3, 2))
+    t1, t2 = pair.ch1.transitions, pair.ch2.transitions
+    for _ in range(200):
+        m = int(rng.integers(1, 4))
+        joint = AuxiliaryJoint(
+            rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(pair.input_size), size=m)
+        )
+        rows = joint.p_x_given_u
+        a, b, c = _general_scan_chunk(joint.p_u, rows, *_row_tables(rows, t1, t2), t1)
+        # combinations run with the last U coordinate fastest
+        at = sum(u * m ** (m - 1 - u) for u in range(m))
+        want = conditional_informations(joint, pair, LogBase.NATS)
+        np.testing.assert_allclose((a[at], b[at], c[at]), want, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_rejected(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -189,8 +224,9 @@ class TestTernaryInput:
         weak = DiscreteChannel(np.full((3, 3), 1.0 / 3.0))
         pair = ChannelPair(strong, weak)
         spec = GridSpec(steps=9, u_cardinality=2)
-        with pytest.warns(UserWarning, match="3-ary"):
+        with pytest.warns(UserWarning, match="3-ary") as record:
             inner, outer = oracle_both(pair, 0.3, spec)
+        assert record[0].filename == __file__  # the warning names the caller
         log3 = np.log2(3.0)
         assert outer.r1[-1] == pytest.approx(log3, abs=1e-12)
         assert outer.r2[-1] == pytest.approx(0.3, abs=1e-12)

@@ -259,6 +259,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_thresholds(lambda c: gaussian_family(BC, c), [0.5, 0.25])
 
+    def test_grid_order_checked_before_any_family(self):
+        built = []
+
+        def factory(c12):
+            built.append(c12)
+            return gaussian_family(BC, c12)
+
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_thresholds(factory, [0.0, 0.5, 0.25])
+        assert built == []
+
     def test_monotonicity_error_from_broken_factory(self):
         # same family for every c12 makes the thresholds constant, not decreasing
         with pytest.raises(MonotonicityError):
@@ -469,6 +480,18 @@ class TestExports:
         proven = boundary.segment == "proven"
         assert np.all(boundary.alpha[proven] <= a_th + 1e-6)
         assert np.all(boundary.alpha[~proven] > a_th - 1e-6)
+
+    @pytest.mark.parametrize("read, text", [
+        (boundary_from_csv, ""),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0.1,0.2\n"),
+        (boundary_from_json, "[]"),
+        (boundary_from_json, '{"points": 3}'),
+        (boundary_from_json, '{"pts": []}'),
+        (boundary_from_json, '{"points": [{"alpha": 0.1, "r1": 0.2, "segment": "proven"}]}'),
+    ])
+    def test_malformed_frontier_files_are_value_errors(self, read, text):
+        with pytest.raises(ValueError):
+            read(text)
 
     def test_thresholds_csv(self):
         rows = sweep_thresholds(lambda c: gaussian_family(BC, c), [0.0, 0.5])
