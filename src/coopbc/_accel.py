@@ -2,13 +2,14 @@
 
 Every decoder works on a chunk of trials at a time and keeps the arithmetic of
 a per-trial loop: integer scores are exact, and floating scores are built from
-the same per-element operations, added symbol by symbol left to right.  Decode
-decisions (argmin/argmax with first-index ties) therefore do not depend on the
-chunk size, on the number of BLAS threads, or on how the caller splits trials.
+the same per-element operations, added symbol by symbol left to right.  Each
+decision is the first minimum of a cost sum (mismatches, squared distances or
+negated log-scores), so it does not depend on the chunk size, on the number of
+BLAS threads, or on how the caller splits trials.
 
 Kernels:
   * decode_map_int   - fewest mismatches on unerased positions (erasure channels)
-  * decode_map_float - log-score nearest codeword over per-trial index ranges
+  * decode_map_float - highest log-score codeword over per-trial index ranges
   * decode_sq        - squared-distance nearest codeword (Gaussian channels)
   * decode_sq_restricted - squared distance over per-trial index ranges
 """
@@ -103,17 +104,16 @@ def decode_sq(codebook, scale, ys):
 # codeword decoding over per-trial index ranges
 # ---------------------------------------------------------------------------
 
-def _restricted(codebook, ys, cand_start, cand_count, cand_of, score, pad):
+def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):
     """Shared driver for the restricted decoders.
 
     Trial t searches the codewords from cand_start[b] on, cand_count[b] of
     them, for b = cand_of[t].  Each chunk gathers its trials' ranges as a
     (T, K) block, K the largest count among them; padding repeats the range
     start and sits after the valid entries.  ``score(acc, column, y)`` adds
-    symbol i's scores for candidate symbols ``column`` (T, K) and received
-    symbols ``y`` (T, 1) into acc in place.  Padding then gets ``pad``, the
-    worst score (-inf: pick the argmax, +inf: the argmin), so first-index
-    ties fall on the same candidate as a loop over the range.
+    symbol i's costs for candidate symbols ``column`` (T, K) and received
+    symbols ``y`` (T, 1) into acc in place.  Padding costs +inf, so the
+    first minimum falls on the same candidate as a loop over the range.
     """
     columns = np.ascontiguousarray(codebook.T)  # (n, nu2)
     out = np.empty(ys.shape[0], dtype=np.int64)
@@ -128,9 +128,8 @@ def _restricted(codebook, ys, cand_start, cand_count, cand_of, score, pad):
         acc = np.zeros(cands.shape)
         for i in range(columns.shape[0]):
             score(acc, columns[i][cands], y[:, i, None])
-        acc[~valid] = pad
-        pick = np.argmax(acc, axis=1) if pad < 0 else np.argmin(acc, axis=1)
-        out[sl] = cands[np.arange(cands.shape[0]), pick]
+        acc[~valid] = np.inf
+        out[sl] = cands[np.arange(cands.shape[0]), np.argmin(acc, axis=1)]
     return out
 
 
@@ -138,13 +137,14 @@ def decode_map_float(codebook, logscore, ys, cand_start, cand_count, cand_of):
     """First-maximum log-score candidate per trial, over an index range per trial.
 
     Trial t searches the range of b = cand_of[t] (see ``_restricted``).
-    Scores add logscore[c_i, y_i] symbol by symbol; -inf entries are allowed.
-    Returns the chosen codeword index per trial.
+    Costs subtract logscore[c_i, y_i] symbol by symbol (-inf entries cost
+    +inf); negation is exact, so every cost sum is the exact negative of the
+    log-score sum.  Returns the chosen codeword index per trial.
     """
     def score(acc, column, y):
-        acc += logscore[column, y]
+        acc -= logscore[column, y]
 
-    return _restricted(codebook, ys, cand_start, cand_count, cand_of, score, -np.inf)
+    return _restricted(codebook, ys, cand_start, cand_count, cand_of, score)
 
 
 def decode_sq_restricted(codebook, scale, ys, cand_start, cand_count, cand_of):
@@ -157,4 +157,4 @@ def decode_sq_restricted(codebook, scale, ys, cand_start, cand_count, cand_of):
         d = y - scale * column
         acc += d * d
 
-    return _restricted(codebook, ys, cand_start, cand_count, cand_of, score, np.inf)
+    return _restricted(codebook, ys, cand_start, cand_count, cand_of, score)

@@ -146,8 +146,8 @@ def oracle_both(
     1e-9 of the sum-rate line r1 + r2 = C1, or above it, are labelled
     conjectured.
     """
-    if c12 < 0:
-        raise ValueError(f"cooperation rate must be nonnegative, got {c12}")
+    if not (math.isfinite(c12) and c12 >= 0):
+        raise ValueError(f"cooperation rate must be finite and nonnegative, got {c12}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     total = evaluation_count(pair, spec)
@@ -184,7 +184,9 @@ def oracle_both(
 
     inner, outer = _Fold(), _Fold()
     comps = _simplex_lattice(spec.u_cardinality, spec.steps)
-    # a pool starts no thread before its first task, so threads=1 scans in this one
+    # a pool starts no thread before its first task, so threads=1 scans in this
+    # one; it must, since a tracer that keeps one span stack sees worker-thread
+    # spans close out of order
     with ThreadPoolExecutor(max_workers=threads) as pool:
         chunks = pool.map(scan_chunk, comps) if threads > 1 else map(scan_chunk, comps)
         for in_r1, in_r2, out_r1, out_r2 in chunks:

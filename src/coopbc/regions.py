@@ -116,10 +116,11 @@ def check_r1(r1: float, r1_th: float) -> float:
 class RateRegionBoundary:
     """Pareto frontier of a 2-D rate region, sorted by increasing r1.
 
-    ``alpha`` carries the family parameter that produced each corner (NaN when
-    the frontier did not come from a parametric sweep).  ``segment`` marks
-    corners whose full rectangle is a proven part of the capacity boundary
-    versus corners that only sit on the conjectured sum-rate face.
+    Rates are finite.  ``alpha`` carries the family parameter that produced
+    each corner (NaN when the frontier did not come from a parametric
+    sweep).  ``segment`` marks corners whose full rectangle is a proven part
+    of the capacity boundary versus corners that only sit on the conjectured
+    sum-rate face.
     """
 
     r1: np.ndarray
@@ -132,6 +133,8 @@ class RateRegionBoundary:
         r2 = np.asarray(self.r2, dtype=np.float64)
         if r1.shape != r2.shape or r1.ndim != 1 or r1.size == 0:
             raise ValueError("r1 and r2 must be equal-length nonempty vectors")
+        if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
+            raise ValueError("frontier r1 and r2 values must be finite")
         if np.any(np.diff(r1) <= 0):
             raise ValueError("frontier r1 values must be strictly increasing")
         if np.any(np.diff(r2) > 0):
@@ -345,7 +348,8 @@ def boundary_to_csv(boundary: RateRegionBoundary) -> str:
 def _boundary_from_points(points) -> RateRegionBoundary:
     """The frontier through ``points``, a list of mappings from alpha, r1 and r2
     to numbers and from segment to a label, as read from a frontier file.
-    Anything else, an empty list included, is a ValueError."""
+    Anything else, an empty list or an unknown segment label included, is a
+    ValueError."""
     try:
         alpha, r1, r2 = (np.array([float(p[k]) for p in points]) for k in ("alpha", "r1", "r2"))
         segment = np.array([str(p["segment"]) for p in points])
@@ -353,6 +357,12 @@ def _boundary_from_points(points) -> RateRegionBoundary:
         raise ValueError(
             "every frontier point needs a numeric alpha, r1 and r2 and a segment"
         ) from None
+    unknown = set(segment.tolist()) - {SEGMENT_PROVEN, SEGMENT_CONJECTURED}
+    if unknown:
+        raise ValueError(
+            f"unknown frontier segment label {sorted(unknown)[0]!r}; expected "
+            f"{SEGMENT_PROVEN!r} or {SEGMENT_CONJECTURED!r}"
+        )
     return RateRegionBoundary(r1, r2, alpha, segment)
 
 
@@ -362,7 +372,11 @@ def boundary_from_csv(text: str) -> RateRegionBoundary:
     if header != "alpha,r1,r2,segment":
         raise ValueError(f"unexpected frontier CSV header: {header!r}")
     fields = header.split(",")
-    return _boundary_from_points([dict(zip(fields, ln.split(","))) for ln in lines[1:]])
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(fields):
+            raise ValueError(f"frontier CSV row {i} has {len(row)} fields, expected {len(fields)}")
+    return _boundary_from_points([dict(zip(fields, row)) for row in rows])
 
 
 def _json_numbers(column: np.ndarray) -> list[str]:

@@ -7,11 +7,13 @@ import pytest
 
 from coopbc.becbsc import BecBscBC
 from coopbc.channel import AuxiliaryJoint
+from coopbc import dnfsim
 from coopbc.dnfsim import (
     BudgetExceededError,
     CodeConfig,
     SimReport,
     _bin_ranges,
+    _codebook_rng,
     build_superposition_codebook,
     simulate,
 )
@@ -197,6 +199,94 @@ class TestCodebook:
         b1 = build_superposition_codebook(cfg)
         b2 = build_superposition_codebook(cfg)
         np.testing.assert_array_equal(b1.satellites, b2.satellites)
+
+
+def _reference_draw(cfg, rng):
+    """The per-cloud searchsorted draw with a final clip that the threshold
+    count replaced; returns (clouds, satellites, largest unclipped symbol)."""
+    law = cfg.input_law
+    clouds = rng.choice(law.u_size, size=(cfg.nu2, cfg.n), p=law.p_u).astype(np.int8)
+    cum = np.cumsum(law.p_x_given_u, axis=1)
+    draws = rng.random((cfg.nu1, cfg.nu2, cfg.n))
+    satellites = np.empty((cfg.nu1, cfg.nu2, cfg.n), dtype=np.int8)
+    for u in range(law.u_size):
+        mask = clouds == u
+        satellites[:, mask] = np.searchsorted(cum[u], draws[:, mask], side="right")
+    top = int(satellites.max())
+    np.clip(satellites, 0, law.x_size - 1, out=satellites)
+    return clouds, satellites, top
+
+
+def _random_law(rng):
+    """|U| and |X| in 1..4; a third of the laws zero some entries, a fifth
+    scale every row so that its float cumsum ends just below 1."""
+    u_size, x_size = (int(v) for v in rng.integers(1, 5, size=2))
+    p_x_given_u = rng.dirichlet(np.ones(x_size), size=u_size)
+    kind = rng.integers(15)
+    if kind % 3 == 0:
+        p_x_given_u[rng.random(p_x_given_u.shape) < 0.4] = 0.0
+        empty = p_x_given_u.sum(axis=1) == 0
+        p_x_given_u[empty, rng.integers(x_size)] = 1.0
+        p_x_given_u /= p_x_given_u.sum(axis=1, keepdims=True)
+    if kind % 5 == 0:
+        p_x_given_u *= 1.0 - 5e-13
+    return AuxiliaryJoint(rng.dirichlet(np.ones(u_size)), p_x_given_u)
+
+
+class _PickedDraws:
+    """A codebook generator whose uniform draws are picked from ``values``."""
+
+    def __init__(self, rng, values):
+        self._rng, self._values = rng, values
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+    def random(self, size):
+        return self._rng.choice(self._values, size=size)
+
+
+class TestCodebookDraw:
+    """The threshold-count draw gives the per-cloud loop's codebook exactly."""
+
+    def assert_same_book(self, cfg, rng):
+        clouds, satellites, top = _reference_draw(cfg, rng)
+        book = build_superposition_codebook(cfg)
+        assert book.clouds.dtype == book.satellites.dtype == np.int8
+        np.testing.assert_array_equal(book.clouds, clouds)
+        np.testing.assert_array_equal(book.satellites, satellites)
+        return top
+
+    def test_random_laws(self):
+        rng = np.random.default_rng(2024)
+        for i in range(400):
+            cfg = CodeConfig(n=int(rng.integers(1, 10)), r1=float(rng.uniform(0, 0.6)),
+                             r2=float(rng.uniform(0, 0.6)), c12=0.2, seed=i,
+                             input_law=_random_law(rng))
+            self.assert_same_book(cfg, _codebook_rng(cfg))
+
+    @pytest.mark.parametrize("p_x_given_u", [
+        [[0.3, 0.7 - 5e-13]],
+        [[0.2, 0.0, 0.8 - 5e-13], [0.0, 1.0 - 5e-13, 0.0]],
+        [[0.5, 0.5 - 5e-13, 0.0], [1.0 - 5e-13, 0.0, 0.0]],
+        [[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]],
+    ])
+    def test_draws_on_and_past_the_thresholds(self, monkeypatch, p_x_given_u):
+        # draws equal to a threshold, and draws past a row's last threshold,
+        # the only ones the old clip acted on
+        rows = len(p_x_given_u)
+        law = AuxiliaryJoint(np.full(rows, 1.0 / rows), np.array(p_x_given_u))
+        cum = np.cumsum(law.p_x_given_u, axis=1).ravel()
+        values = np.append(cum[cum < 1.0], [0.0, np.nextafter(1.0, 0.0)])
+        cfg = CodeConfig(n=16, r1=0.25, r2=0.25, c12=0.25, seed=9, input_law=law)
+
+        def draws(c):
+            return _PickedDraws(_codebook_rng(c), values)
+
+        monkeypatch.setattr(dnfsim, "_codebook_rng", draws)
+        top = self.assert_same_book(cfg, draws(cfg))
+        if law.p_x_given_u.sum(axis=1).min() < 1.0:
+            assert top == law.x_size  # the reference clipped at least one symbol
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -208,6 +209,12 @@ def test_kernel_matches_conditional_informations(pair_name):
 def test_threads_below_one_rejected(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
         oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2), threads=threads)
+
+
+@pytest.mark.parametrize("c12", [math.nan, math.inf, -math.inf])
+def test_cooperation_rate_must_be_finite_and_nonnegative(c12):
+    with pytest.raises(ValueError, match="cooperation rate must be finite and nonnegative"):
+        oracle_both(PAIR, c12, GridSpec(steps=4, u_cardinality=2))
 
 
 class TestBinaryInput:

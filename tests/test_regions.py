@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -407,7 +408,8 @@ def assert_writers_match(boundary):
 
 
 SPECIAL_VALUES = [1.0, 1e-05, 5e-324, 123456789.0]
-rates = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_VALUES))
+rates = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(SPECIAL_VALUES))
 
 
 @st.composite
@@ -488,9 +490,26 @@ class TestExports:
         (boundary_from_json, '{"points": 3}'),
         (boundary_from_json, '{"pts": []}'),
         (boundary_from_json, '{"points": [{"alpha": 0.1, "r1": 0.2, "segment": "proven"}]}'),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0.1,0.2,0.3,bogus,7\n"),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0.1,0.2,0.3,proven,7\n"),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0.1,0.2,0.3,bogus\n"),
+        (boundary_from_json,
+         '{"points": [{"alpha": 0.1, "r1": 0.2, "r2": 0.3, "segment": "bogus"}]}'),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0,nan,0.5,proven\n"),
+        (boundary_from_csv, "alpha,r1,r2,segment\n0,0.1,inf,proven\n"),
     ])
     def test_malformed_frontier_files_are_value_errors(self, read, text):
         with pytest.raises(ValueError):
+            read(text)
+
+    @pytest.mark.parametrize("read, text, problem", [
+        (boundary_from_csv, "alpha,r1,r2,segment\n0.1,0.2,0.3,proven\n0.1,0.2,0.3,proven,7\n",
+         "row 2 has 5 fields, expected 4"),
+        (boundary_from_json, '{"points": [{"alpha": 0.1, "r1": 0.2, "r2": 0.3, "segment": "x"}]}',
+         "segment label 'x'"),
+    ])
+    def test_reader_errors_name_the_problem(self, read, text, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
             read(text)
 
     def test_thresholds_csv(self):
@@ -502,6 +521,20 @@ class TestExports:
 
 
 class TestRateRegionBoundary:
+    @pytest.mark.parametrize("r1, r2", [
+        ([0.1, math.nan, 0.5], [0.3, 0.2, 0.1]),  # passes the ordering checks
+        ([math.nan], [0.5]),
+        ([0.1, math.inf], [0.3, 0.1]),
+        ([-math.inf, 0.1], [0.3, 0.1]),
+        ([0.1, 0.5], [math.inf, 0.1]),
+        ([0.1, 0.5], [0.3, math.nan]),
+        ([0.1, 0.5], [0.3, -math.inf]),
+    ])
+    def test_rejects_nonfinite_rates(self, r1, r2):
+        with pytest.raises(ValueError, match="must be finite"):
+            RateRegionBoundary(np.array(r1), np.array(r2), np.full(len(r1), math.nan),
+                               np.full(len(r1), SEGMENT_PROVEN))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             RateRegionBoundary(
