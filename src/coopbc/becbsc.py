@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import AuxiliaryJoint, ChannelPair, make_bec, make_bsc
+import numpy as np
+
+from .channel import ChannelPair, _validate_stochastic, make_bec, make_bsc
 from .numerics import (
     DEFAULT_TOL,
     LogBase,
@@ -136,7 +138,9 @@ def r2star_closed(
     )
 
 
-def mgl_gap(p_u, p_x_given_u, p2: float, base: LogBase = LogBase.BITS) -> float:
+def mgl_gap(
+    p_u, p_x_given_u, p2: float, base: LogBase = LogBase.BITS
+) -> float | np.ndarray:
     """Slack in the binary-convolution entropy bound for a BSC(p2) stage.
 
     For binary X with conditional law P_{X|U} and Y2 the BSC(p2) output,
@@ -145,17 +149,28 @@ def mgl_gap(p_u, p_x_given_u, p2: float, base: LogBase = LogBase.BITS) -> float:
     Bernoulli input with the same conditional entropy.  Zero when every
     conditional P_{X|U=u} has the same entropy.
 
+    One joint (``p_u`` of shape (m,), ``p_x_given_u`` of shape (m, 2))
+    gives a float.  A batch stacks joints on a first axis (shapes (J, m) and
+    (J, m, 2)) and gives J slacks; a joint with fewer U values pads its P_U
+    with zeros, and its rows with any law.
+
     The entropy inversion runs at 1e-14 bracket width; the looser default
     would leak solver noise of a few 1e-12 into a quantity whose sign is
     the whole point.
     """
     make_bsc(p2)
-    joint = AuxiliaryJoint(p_u, p_x_given_u)
-    if joint.x_size != 2:
-        raise ValueError(f"X must be binary: p_x_given_u shape {joint.p_x_given_u.shape}")
-    pu, x1 = joint.p_u, joint.p_x_given_u[:, 1]
-    h_x_given_u = float(pu @ binary_entropy(x1, base))
-    h_y_given_u = float(pu @ binary_entropy(binary_convolution(x1, p2), base))
+    p_u = np.asarray(p_u, dtype=np.float64)
+    rows = np.asarray(p_x_given_u, dtype=np.float64)
+    single = p_u.ndim == 1
+    pu = _validate_stochastic(p_u, "probability vector p_u", ndim=1 if single else 2)
+    if rows.shape[:-1] != pu.shape:
+        raise ValueError("p_x_given_u must have one row per value of U")
+    if rows.shape[-1] != 2:
+        raise ValueError(f"X must be binary: p_x_given_u shape {rows.shape}")
+    pu = np.atleast_2d(pu)
+    x1 = _validate_stochastic(rows.reshape(-1, 2), "p_x_given_u")[:, 1].reshape(pu.shape)
+    h_x_given_u = np.einsum("ju,ju->j", pu, binary_entropy(x1, base))
+    h_y_given_u = np.einsum("ju,ju->j", pu, binary_entropy(binary_convolution(x1, p2), base))
     q = binary_entropy_inv(h_x_given_u, base, Tolerance(abs_tol=1e-14, max_iters=200))
-    bound = binary_entropy(binary_convolution(q, p2), base)
-    return h_y_given_u - bound
+    gap = h_y_given_u - binary_entropy(binary_convolution(q, p2), base)
+    return float(gap[0]) if single else gap

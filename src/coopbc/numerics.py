@@ -4,10 +4,11 @@ Everything in this module is a pure function of its arguments.  Rate-valued
 quantities are expressed in a caller-chosen logarithm base (bits by default);
 a single computation should stick to one base throughout.
 
-``binary_entropy``, ``binary_convolution`` and ``gaussian_cap`` take either a
-Python float or an ndarray.  A float runs on ``math`` (numpy costs over ten
-times as much per scalar call, and bisection makes thousands of them); an
-array runs through numpy ufuncs in one call.  The two agree to within a few
+``binary_entropy``, ``binary_entropy_inv``, ``binary_convolution`` and
+``gaussian_cap`` take either a Python float or an ndarray.  A float runs on
+``math`` (numpy costs over ten times as much per scalar call, and bisection
+makes thousands of them); an array runs through numpy ufuncs, with one call
+per bisection step for every target at once.  The two agree to within a few
 ulp: ``np.log2`` and ``math.log2`` can differ in the last bit.
 """
 
@@ -117,14 +118,38 @@ def binary_entropy(p, base: LogBase = LogBase.BITS):
 
 
 def binary_entropy_inv(
-    h: float, base: LogBase = LogBase.BITS, tol: Tolerance = DEFAULT_TOL
-) -> float:
+    h, base: LogBase = LogBase.BITS, tol: Tolerance = DEFAULT_TOL
+):
     """The unique q in [0, 1/2] with binary_entropy(q) == h, by bisection.
 
     Accepts h up to 1e-9 outside [0, log 2] to absorb floating dust from
     upstream entropy arithmetic; anything further out is a domain error.
+    ``h`` is a float or an ndarray.  An array runs one bisection over every
+    target with the steps of ``bisect_monotone``: each bracket starts as
+    [0, 1/2] and halves exactly, so all of them reach ``tol`` on the same
+    pass, and each target gets the float path's answer up to the few-ulp
+    difference of numpy's log.
     """
     top = base.one_bit()
+    if type(h) is not float and isinstance(h, np.ndarray):
+        bad = ~((h >= -1e-9) & (h <= top + 1e-9))  # NaN is bad too
+        if bad.any():
+            raise ValueError(f"entropy value must lie in [0, {top}], got {h[bad].flat[0]}")
+        h = np.clip(h, 0.0, top)
+        lo, hi = np.zeros(h.shape), np.full(h.shape, 0.5)
+        for _ in range(tol.max_iters):
+            mid = 0.5 * (lo + hi)
+            below = binary_entropy(mid, base) < h
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            if np.max(hi - lo, initial=0.0) <= tol.abs_tol:
+                q = 0.5 * (lo + hi)
+                # targets within tol of an endpoint value clamp to it, as in bisect_monotone
+                q[h >= binary_entropy(0.5, base) - tol.abs_tol] = 0.5
+                q[h <= binary_entropy(0.0, base) + tol.abs_tol] = 0.0
+                return q
+        raise IterationLimitError(
+            f"bisection did not reach width {tol.abs_tol} in {tol.max_iters} iterations"
+        )
     if h < -1e-9 or h > top + 1e-9:
         raise ValueError(f"entropy value must lie in [0, {top}], got {h}")
     h = min(max(h, 0.0), top)

@@ -170,13 +170,14 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_convolution_entropy_bound():
     t0 = time.perf_counter()
     rng = np.random.default_rng(66)
-    worst = np.inf
-    for _ in range(10_000):
+    # 10^4 joints with |U| from 1 to 4, stacked with zero-padded P_U
+    p_u = np.zeros((10_000, 4))
+    rows = np.full((10_000, 4, 2), 0.5)
+    for j in range(10_000):
         m = int(rng.integers(1, 5))
-        p_u = rng.dirichlet(np.ones(m))
-        rows = rng.dirichlet(np.ones(2), size=m)
-        for p2 in (0.1, 0.2, 0.3):
-            worst = min(worst, becbsc_mod.mgl_gap(p_u, rows, p2))
+        p_u[j, :m] = rng.dirichlet(np.ones(m))
+        rows[j, :m] = rng.dirichlet(np.ones(2), size=m)
+    worst = min(float(becbsc_mod.mgl_gap(p_u, rows, p2).min()) for p2 in (0.1, 0.2, 0.3))
     dt = time.perf_counter() - t0
     ok = worst >= -1e-12 and dt < 30.0
     report(6, ok, dt, f"min slack {worst:.3e} over 3x10^4 joints")

@@ -216,17 +216,35 @@ class TestMglGap:
 
     def test_random_sweep_nonnegative(self):
         rng = np.random.default_rng(44)
-        for _ in range(2000):
+        p_u, rows = np.zeros((2000, 4)), np.full((2000, 4, 2), 0.5)
+        for j in range(2000):
             m = int(rng.integers(1, 5))
-            p_u = rng.dirichlet(np.ones(m))
-            rows = rng.dirichlet(np.ones(2), size=m)
-            assert mgl_gap(p_u, rows, 0.2) >= -1e-12
+            p_u[j, :m] = rng.dirichlet(np.ones(m))
+            rows[j, :m] = rng.dirichlet(np.ones(2), size=m)
+        assert mgl_gap(p_u, rows, 0.2).min() >= -1e-12
+
+    def test_batch_equals_one_joint_at_a_time(self):
+        rng = np.random.default_rng(45)
+        p_u, rows = np.zeros((100, 3)), np.full((100, 3, 2), 0.5)
+        singles = []
+        for j in range(100):
+            m = int(rng.integers(1, 4))
+            p_u[j, :m] = rng.dirichlet(np.ones(m))
+            rows[j, :m] = rng.dirichlet(np.ones(2), size=m)
+            singles.append(mgl_gap(p_u[j, :m], rows[j, :m], 0.2))
+        assert all(type(g) is float for g in singles)
+        # zero-padded U values add nothing, so padding changes no bit
+        np.testing.assert_array_equal(mgl_gap(p_u, rows, 0.2), singles)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             mgl_gap(np.array([1.0]), np.array([[0.2, 0.3, 0.5]]), 0.2)
         with pytest.raises(ValueError):
             mgl_gap(np.array([0.5, 0.5]), np.array([[0.7, 0.3]]), 0.2)
+        with pytest.raises(ValueError, match="one row per value of U"):
+            mgl_gap(np.full((4, 2), 0.5), np.full((4, 3, 2), 0.5), 0.2)
+        with pytest.raises(ValueError, match="one row per value of U"):
+            mgl_gap(np.full((4, 2), 0.5), np.full((2, 2), 0.5), 0.2)
 
     @pytest.mark.parametrize("p_u, rows, match", [
         ([0.5, 0.5], [[np.nan, 1.0], [0.5, 0.5]], "entries"),

@@ -249,6 +249,25 @@ class TestArrayArguments:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binary_convolution(self.GRID, 0.2), want)
 
+    @pytest.mark.parametrize("base", list(LogBase))
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-14])
+    def test_entropy_inverse_matches_scalars(self, base, abs_tol):
+        tol = Tolerance(abs_tol=abs_tol)
+        top = base.one_bit()
+        hs = np.concatenate([binary_entropy(0.5 * self.GRID, base),
+                             [-1e-10, 0.5 * abs_tol, top - 0.5 * abs_tol, top + 1e-10]])
+        got = binary_entropy_inv(hs, base, tol)
+        want = np.array([binary_entropy_inv(float(h), base, tol) for h in hs])
+        # numpy's log may flip a step where H(mid) is within ulps of the
+        # target; both answers then stay within the final bracket of that root
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * abs_tol)
+        assert got[-4] == 0.0 and got[-3] == 0.0 and got[-2] == 0.5 and got[-1] == 0.5
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_entropy_inverse_array_domain(self, bad):
+        with pytest.raises(ValueError, match="entropy value"):
+            binary_entropy_inv(np.array([0.5, bad]))
+
     def test_float_argument_returns_float(self):
         # the scalar path must never go through numpy: bisection calls it per step
         for value in (

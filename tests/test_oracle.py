@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +13,8 @@ from coopbc.channel import (
     ChannelPair,
     DiscreteChannel,
     _compositions,
+    _mi_batch_nats,
+    _xlogx,
     conditional_informations,
     make_bec,
     make_bsc,
@@ -19,17 +23,46 @@ from coopbc.numerics import LogBase, Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
+    _canonical_tuples,
     _general_scan_chunk,
-    _row_tables,
+    _Lattice,
     composition_count,
     evaluation_count,
     frontier_deviation,
+    frontier_dominance,
     oracle_both,
 )
 from coopbc.regions import RateRegionBoundary, boundary_to_csv, inner_boundary, pareto_filter
 
 PAIR = ChannelPair(make_bec(0.1), make_bsc(0.2))
 BC = BecBscBC(0.1, 0.2)
+
+
+def scan_tables(pair, row_grid, u_steps, m):
+    """The kernel's per-scan inputs for integer rows over one lattice step
+    count and a cloud law over ``u_steps``, as ``oracle_both`` builds them."""
+    steps = int(row_grid[0].sum())
+    lattice = _Lattice(steps * u_steps, pair.ch1.transitions, pair.ch2.transitions)
+    rows_mi1, rows_h2 = lattice(row_grid[:, :-1] * u_steps)
+    return _canonical_tuples(row_grid.shape[0], m), rows_mi1, rows_h2, lattice
+
+
+def corners(a, b, c, c12):
+    """Inner and outer corners of the triples, in bits, as oracle_both forms them."""
+    a, b, c = a / np.log(2.0), b / np.log(2.0) + c12, c / np.log(2.0)
+    r1a, r2b = np.minimum(a, c), np.minimum(b, c)
+    inner = (np.concatenate([r1a, np.maximum(np.minimum(a, c - r2b), 0.0)]),
+             np.concatenate([np.maximum(np.minimum(b, c - r1a), 0.0), r2b]))
+    return inner, (a, b)
+
+
+def frontier_of(parts):
+    """One Pareto filter over every (r1, r2) part, in order, as a frontier."""
+    r1 = np.concatenate([p[0] for p in parts])
+    r2 = np.concatenate([p[1] for p in parts])
+    keep = pareto_filter(r1, r2)
+    n = keep.size
+    return RateRegionBoundary(r1[keep], r2[keep], np.full(n, np.nan), np.array(["proven"] * n))
 
 
 def exact_outer_r2(fam, r1):
@@ -80,19 +113,20 @@ class TestConstantU:
 
 class TestRestrictionWitness:
     def test_symmetric_joints_reproduce_family_corners(self):
-        # uniform cloud + symmetric satellite layer evaluated exactly
+        # uniform cloud + symmetric satellite layer evaluated exactly, q = i/S
         fam = becbsc_family(BC, 0.2)
-        p_u = np.array([0.5, 0.5])
-        t1 = PAIR.ch1.transitions
-        t2 = PAIR.ch2.transitions
+        s = 198
+        p_u = np.array([s // 2, s // 2])
         ln2 = np.log(2.0)
-        for q in np.linspace(0.0, 0.5, 100):
-            # combinations run last-U fastest, so index 1 is rows (0, 1)
-            rows = np.array([[1.0 - q, q], [q, 1.0 - q]])
-            a, b, c = _general_scan_chunk(p_u, rows, *_row_tables(rows, t1, t2), t1)
-            assert a[1] / ln2 == pytest.approx(fam.f1(q), abs=1e-12)
-            assert b[1] / ln2 + 0.2 == pytest.approx(fam.f2(q), abs=1e-12)
-            assert c[1] / ln2 == pytest.approx(0.9, abs=1e-12)
+        for i in range(100):
+            q = i / s
+            rows = np.array([[s - i, i], [i, s - i]])
+            tuples, *tables = scan_tables(PAIR, rows, s, 2)
+            at = tuples.tolist().index([0, 1])
+            a, b, c = _general_scan_chunk(p_u, rows, tuples, *tables)
+            assert a[at] / ln2 == pytest.approx(fam.f1(q), abs=1e-12)
+            assert b[at] / ln2 + 0.2 == pytest.approx(fam.f2(q), abs=1e-12)
+            assert c[at] / ln2 == pytest.approx(0.9, abs=1e-12)
 
 
 class TestAgainstParametric:
@@ -133,21 +167,32 @@ class TestAgainstParametric:
         assert dev <= 1e-2
 
     def test_threads_are_deterministic(self, monkeypatch):
-        calls = []
+        calls, scanned_in = [], []
+        kernel = oracle._general_scan_chunk
 
         def counted(r1, r2):
             calls.append(len(r1))
             return pareto_filter(r1, r2)
 
+        def recorded(*args):
+            scanned_in.append(threading.get_ident())
+            return kernel(*args)
+
         monkeypatch.setattr(oracle, "pareto_filter", counted)
+        monkeypatch.setattr(oracle, "_general_scan_chunk", recorded)
         for steps, u_size in ((60, 2), (12, 3)):
             spec = GridSpec(steps=steps, u_cardinality=u_size)
             runs = {}
             for threads in (1, 2, 4):
                 calls.clear()
+                scanned_in.clear()
                 runs[threads] = oracle_both(PAIR, 0.2, spec, threads=threads)
                 # two filters per chunk, then the folds: more than the two final ones
                 assert len(calls) - 2 * composition_count(steps, u_size) > 2
+                assert len(scanned_in) == composition_count(steps, u_size)
+                if threads == 1:
+                    # a span-stack tracer needs one thread: no pool worker scans
+                    assert set(scanned_in) == {threading.get_ident()}
             for threads in (2, 4):
                 for a, b in zip(runs[1], runs[threads]):
                     assert a.r1.tobytes() == b.r1.tobytes()
@@ -156,26 +201,16 @@ class TestAgainstParametric:
 
     def test_fold_equals_one_filter_over_every_corner(self):
         c12, spec = 0.2, GridSpec(steps=14, u_cardinality=3)
-        t1, t2 = PAIR.ch1.transitions, PAIR.ch2.transitions
-        rows = np.array([np.array(c) / spec.steps for c in _compositions(spec.steps, 2)])
-        tables = _row_tables(rows, t1, t2)
-        inner, outer = [], []
-        for comp in _compositions(spec.steps, spec.u_cardinality):
-            p_u = np.array(comp, dtype=np.float64) / spec.steps
-            a, b, c = _general_scan_chunk(p_u, rows, *tables, t1)
-            a, b, c = a / np.log(2.0), b / np.log(2.0) + c12, c / np.log(2.0)
-            r1a = np.minimum(a, c)
-            r2b = np.minimum(b, c)
-            inner.append((r1a, np.maximum(np.minimum(b, c - r1a), 0.0)))
-            inner.append((np.maximum(np.minimum(a, c - r2b), 0.0), r2b))
-            outer.append((a, b))
-        got = oracle_both(PAIR, c12, spec)
-        for boundary, corners in zip(got, (inner, outer)):
-            r1 = np.concatenate([p[0] for p in corners])
-            r2 = np.concatenate([p[1] for p in corners])
-            keep = pareto_filter(r1, r2)
-            assert boundary.r1.tobytes() == r1[keep].tobytes()
-            assert boundary.r2.tobytes() == r2[keep].tobytes()
+        rows = np.array(list(_compositions(spec.steps, 2)))
+        tables = scan_tables(PAIR, rows, spec.steps, spec.u_cardinality)
+        parts = [
+            corners(*_general_scan_chunk(np.array(comp), rows, *tables), c12)
+            for comp in _compositions(spec.steps, spec.u_cardinality)
+        ]
+        for k, boundary in enumerate(oracle_both(PAIR, c12, spec)):
+            want = frontier_of([p[k] for p in parts])
+            assert boundary.r1.tobytes() == want.r1.tobytes()
+            assert boundary.r2.tobytes() == want.r2.tobytes()
 
 
 def random_channel(rng, n_in, n_out):
@@ -184,25 +219,103 @@ def random_channel(rng, n_in, n_out):
 
 @pytest.mark.parametrize("pair_name", ["becbsc", "ternary"])
 def test_kernel_matches_conditional_informations(pair_name):
-    """At the combination (0, 1, ..., m-1) of a row grid made of the joint's own
-    rows, the scan kernel's triple is the one-joint reference triple."""
+    """At the combination (0, 1, ..., m-1) of a row grid made of a lattice
+    joint's own rows, found at its canonical index, the scan kernel's triple
+    is the one-joint reference triple."""
     rng = np.random.default_rng(17)
     if pair_name == "becbsc":
         pair = PAIR
     else:
         pair = ChannelPair(random_channel(rng, 3, 4), random_channel(rng, 3, 2))
-    t1, t2 = pair.ch1.transitions, pair.ch2.transitions
+    s, k = 24, pair.input_size
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        joint = AuxiliaryJoint(
-            rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(pair.input_size), size=m)
-        )
-        rows = joint.p_x_given_u
-        a, b, c = _general_scan_chunk(joint.p_u, rows, *_row_tables(rows, t1, t2), t1)
-        # combinations run with the last U coordinate fastest
-        at = sum(u * m ** (m - 1 - u) for u in range(m))
-        want = conditional_informations(joint, pair, LogBase.NATS)
+        p_u = rng.multinomial(s, np.ones(m) / m)
+        rows = rng.multinomial(s, np.ones(k) / k, size=m)
+        tuples, *tables = scan_tables(pair, rows, s, m)
+        at = tuples.tolist().index(list(range(m)))
+        a, b, c = _general_scan_chunk(p_u, rows, tuples, *tables)
+        want = conditional_informations(AuxiliaryJoint(p_u / s, rows / s), pair, LogBase.NATS)
         np.testing.assert_allclose((a[at], b[at], c[at]), want, rtol=0.0, atol=1e-12)
+
+
+def reference_scan_chunk(p_u, row_grid, trans1, trans2):
+    """The full-product kernel the lattice kernel replaced: every row
+    combination, last U coordinate fastest, with I(X;Y1) and H(Y2) computed
+    from P_X per joint.  ``p_u`` and ``row_grid`` are probabilities."""
+    m = p_u.shape[0]
+    idx = np.indices((row_grid.shape[0],) * m).reshape(m, -1).T
+    rows_mi1 = _mi_batch_nats(row_grid, trans1)
+    rows_py2 = row_grid @ trans2
+    rows_h2 = -_xlogx(rows_py2).sum(axis=1)
+    a = rows_mi1[idx] @ p_u
+    px = np.einsum("jmx,m->jx", row_grid[idx], p_u)
+    c = _mi_batch_nats(px, trans1)
+    py2 = np.einsum("jmy,m->jy", rows_py2[idx], p_u)
+    b = np.maximum(-_xlogx(py2).sum(axis=1) - rows_h2[idx] @ p_u, 0.0)
+    return a, b, c
+
+
+REFERENCE_PAIRS = {
+    "bec0.1-bsc0.2": (PAIR, 0.1, 0.25),
+    "bsc0.05-bsc0.2": (ChannelPair(make_bsc(0.05), make_bsc(0.2)), 0.05, 0.3),
+    "bec0.3-bsc0.11": (ChannelPair(make_bec(0.3), make_bsc(0.11)), 0.0, 0.15),
+    "ternary": (
+        ChannelPair(
+            random_channel(np.random.default_rng(5), 3, 3),
+            random_channel(np.random.default_rng(6), 3, 2),
+        ),
+        0.0,
+        0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("u_size", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_lattice_scan_matches_full_product_reference(name, u_size):
+    """Every joint of the full product is scored, under its canonical row
+    order, by the lattice kernel; and both frontiers agree with the
+    reference kernel's to a dominance distance of 1e-15 at two c12.
+
+    The frontiers alone would not notice tuples with a repeated row going
+    missing: a zero P_U weight reaches the same triples.  The joint-by-joint
+    check does."""
+    pair, *c12s = REFERENCE_PAIRS[name]
+    steps = {2: (60, 24, 10), 3: (12, 8, 5)}[pair.input_size][u_size - 1]
+    u_steps = steps if u_size > 1 else 1
+    t1, t2 = pair.ch1.transitions, pair.ch2.transitions
+    rows = np.array(list(_compositions(steps, pair.input_size)))
+    n = rows.shape[0]
+    comps = np.array(list(_compositions(u_steps, u_size)))
+    tables = scan_tables(pair, rows, u_steps, u_size)
+    got = np.array([_general_scan_chunk(w, rows, *tables) for w in comps])
+    # where the canonical order puts each cloud law and each sorted row tuple
+    comp_at = np.zeros((u_steps + 1,) * u_size, dtype=np.intp)
+    comp_at[tuple(comps.T)] = np.arange(len(comps))
+    canonical = list(itertools.combinations_with_replacement(range(n), u_size))
+    tuple_at = np.full((n,) * u_size, -1, dtype=np.intp)
+    tuple_at[tuple(np.array(canonical).T)] = np.arange(len(canonical))
+    assert got.shape == (len(comps), 3, len(canonical))
+
+    full = np.indices((n,) * u_size).reshape(u_size, -1).T
+    order = np.argsort(full, axis=1, kind="stable")
+    at = tuple_at[tuple(np.take_along_axis(full, order, axis=1).T)]
+    reference = {}
+    for w in comps:
+        ref = reference_scan_chunk(w / u_steps, rows / steps, t1, t2)
+        reference[tuple(w)] = ref
+        laws = comp_at[tuple(w[order].T)]
+        np.testing.assert_allclose(got[laws, :, at], np.column_stack(ref), rtol=0.0, atol=1e-12)
+
+    for c12 in c12s:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*-ary", category=UserWarning)
+            lattice_fronts = oracle_both(pair, c12, GridSpec(steps, u_size))
+        ref_parts = [corners(*reference[tuple(w)], c12) for w in comps]
+        for k, grid in enumerate(lattice_fronts):
+            ref = frontier_of([p[k] for p in ref_parts])
+            assert frontier_dominance(grid, ref) <= 1e-15
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -263,3 +376,49 @@ class TestFrontierDeviation:
         a = self.make([0.0, 1.0], [1.0, 0.0])
         b = self.make([0.0, 0.3, 1.0], [0.9, 0.8, 0.1])
         assert frontier_deviation(a, b) == pytest.approx(frontier_deviation(b, a))
+
+
+class TestFrontierDominance:
+    make = TestFrontierDeviation.make
+
+    def test_identical_is_zero(self):
+        a = self.make([0.0, 0.5, 1.0], [1.0, 0.6, 0.0])
+        assert frontier_dominance(a, a) == 0.0
+
+    def test_shift_in_both_coordinates(self):
+        a = self.make([0.0, 0.5, 1.0], [1.0, 0.6, 0.0])
+        b = self.make([0.0, 0.5, 1.02], [1.01, 0.63, 0.0])
+        # b's corners dominate a's; a's (1.0, 0.0) misses b's (1.02, 0.0) by 0.02
+        assert frontier_dominance(a, b) == pytest.approx(0.03, abs=1e-15)
+        assert frontier_dominance(b, a) == frontier_dominance(a, b)
+
+    def test_dominated_corners_cost_nothing(self):
+        a = self.make([0.0, 1.0], [1.0, 0.0])
+        b = self.make([0.0, 0.4, 1.0], [1.0, 0.5, 0.0])
+        # (0.4, 0.5) is dominated by neither of a's corners: (0.0, 1.0) is 0.4 left of it
+        assert frontier_dominance(a, b) == pytest.approx(0.4, abs=1e-15)
+        c = self.make([0.0, 0.4, 1.0], [1.0, 0.0, 0.0])
+        assert frontier_dominance(a, c) == 0.0
+
+    def test_step_moved_by_one_ulp(self):
+        # a near-vertical step: interpolation reads the move as a large gap
+        a = self.make([0.0, 0.5, 0.5 + 1e-12, 1.0], [1.0, 1.0, 0.0, 0.0])
+        b = self.make([0.0, 0.5 - 1e-12, 0.5, 1.0], [1.0, 1.0, 0.0, 0.0])
+        assert frontier_deviation(a, b) > 0.4
+        assert frontier_dominance(a, b) == pytest.approx(1e-12, abs=1e-15)
+
+    def test_matches_pairwise_definition(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            fronts = []
+            for _ in range(2):
+                r1 = np.sort(rng.choice(rng.uniform(0, 1, 30), size=int(rng.integers(1, 20)),
+                                        replace=False))
+                fronts.append(self.make(r1, np.sort(rng.uniform(0, 1, r1.size))[::-1]))
+            a, b = fronts
+            want = max(
+                max(0.0, max(min(max(p1 - q1, p2 - q2) for q1, q2 in zip(y.r1, y.r2))
+                             for p1, p2 in zip(x.r1, x.r2)))
+                for x, y in ((a, b), (b, a))
+            )
+            assert frontier_dominance(a, b) == want
