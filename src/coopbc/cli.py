@@ -36,6 +36,8 @@ def _write(path: Path, text: str) -> None:
 
 
 FAMILIES = {"gaussian": GaussianBC, "becbsc": BecBscBC}
+# the families whose channels are transition matrices (ordering scan, grid oracle)
+PAIRED = [name for name, bc in FAMILIES.items() if hasattr(bc, "pair")]
 
 # channel and default cooperation rates in bits of each figure dataset
 FIGURES = {
@@ -105,7 +107,7 @@ def _load_pair(args) -> ChannelPair:
         ch1 = DiscreteChannel.from_json(Path(args.params_raw[0]).read_text())
         ch2 = DiscreteChannel.from_json(Path(args.params_raw[1]).read_text())
         return ChannelPair(ch1, ch2)
-    return BecBscBC(*map(float, args.params_raw)).pair()
+    return FAMILIES[args.family](*map(float, args.params_raw)).pair()
 
 
 def cmd_check_mc(args) -> int:
@@ -125,7 +127,7 @@ def cmd_oracle_compare(args) -> int:
     if not (math.isfinite(args.budget) and args.budget >= 0):
         raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
     base = LogBase(args.base)
-    bc = BecBscBC(*args.params)
+    bc = FAMILIES[args.family](*args.params)
     pair = bc.pair()
     spec = oracle.GridSpec(steps=args.steps, u_cardinality=args.u_size)
     fam = bc.family(args.c12, base)
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser("check-mc", help="scan for a violation of the channel ordering")
-    p.add_argument("family", choices=["becbsc", "json"])
+    p.add_argument("family", choices=[*PAIRED, "json"])
     p.add_argument("params_raw", nargs=2, help="tau1 p2 (becbsc) or two channel-matrix JSON paths")
     p.add_argument("--resolution", type=int, default=10_000,
                    help="grid points over P_X(0) for binary inputs; larger alphabets always "
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_mc)
 
     p = sub.add_parser("oracle-compare", help="grid oracle vs parametric frontiers (becbsc)")
-    p.add_argument("family", choices=["becbsc"])
+    p.add_argument("family", choices=PAIRED)
     p.add_argument("params", type=float, nargs=2, help="tau1 p2")
     p.add_argument("--c12", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)

@@ -58,6 +58,8 @@ class CodeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"blocklength must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(r) for r in (self.r1, self.r2, self.c12)):
             raise ValueError("rates must be finite")
         if self.r1 < 0 or self.r2 < 0 or self.c12 < 0:

@@ -4,12 +4,14 @@ Everything in this module is a pure function of its arguments.  Rate-valued
 quantities are expressed in a caller-chosen logarithm base (bits by default);
 a single computation should stick to one base throughout.
 
-``binary_entropy``, ``binary_entropy_inv``, ``binary_convolution`` and
-``gaussian_cap`` take either a Python float or an ndarray.  A float runs on
-``math`` (numpy costs over ten times as much per scalar call, and bisection
-makes thousands of them); an array runs through numpy ufuncs, with one call
-per bisection step for every target at once.  The two agree to within a few
-ulp: ``np.log2`` and ``math.log2`` can differ in the last bit.
+``binary_entropy``, ``binary_entropy_inv``, ``binary_convolution``,
+``gaussian_cap`` and the target of ``bisect_monotone`` take either a Python
+float or an ndarray.  A float runs on ``math`` (numpy costs over ten times as
+much per scalar call, and bisection makes thousands of them); an array runs
+through numpy ufuncs, and ``bisect_monotone`` halves the brackets of every
+target at once, one call of its function per step.  ``binary_entropy_inv``
+is one ``bisect_monotone`` call for either kind.  The two kinds agree to
+within a few ulp: ``np.log2`` and ``math.log2`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -124,11 +126,8 @@ def binary_entropy_inv(
 
     Accepts h up to 1e-9 outside [0, log 2] to absorb floating dust from
     upstream entropy arithmetic; anything further out is a domain error.
-    ``h`` is a float or an ndarray.  An array runs one bisection over every
-    target with the steps of ``bisect_monotone``: each bracket starts as
-    [0, 1/2] and halves exactly, so all of them reach ``tol`` on the same
-    pass, and each target gets the float path's answer up to the few-ulp
-    difference of numpy's log.
+    ``h`` is a float or an ndarray; either goes to one ``bisect_monotone``
+    call.
     """
     top = base.one_bit()
     if type(h) is not float and isinstance(h, np.ndarray):
@@ -136,23 +135,10 @@ def binary_entropy_inv(
         if bad.any():
             raise ValueError(f"entropy value must lie in [0, {top}], got {h[bad].flat[0]}")
         h = np.clip(h, 0.0, top)
-        lo, hi = np.zeros(h.shape), np.full(h.shape, 0.5)
-        for _ in range(tol.max_iters):
-            mid = 0.5 * (lo + hi)
-            below = binary_entropy(mid, base) < h
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            if np.max(hi - lo, initial=0.0) <= tol.abs_tol:
-                q = 0.5 * (lo + hi)
-                # targets within tol of an endpoint value clamp to it, as in bisect_monotone
-                q[h >= binary_entropy(0.5, base) - tol.abs_tol] = 0.5
-                q[h <= binary_entropy(0.0, base) + tol.abs_tol] = 0.0
-                return q
-        raise IterationLimitError(
-            f"bisection did not reach width {tol.abs_tol} in {tol.max_iters} iterations"
-        )
-    if h < -1e-9 or h > top + 1e-9:
-        raise ValueError(f"entropy value must lie in [0, {top}], got {h}")
-    h = min(max(h, 0.0), top)
+    else:
+        if h < -1e-9 or h > top + 1e-9:
+            raise ValueError(f"entropy value must lie in [0, {top}], got {h}")
+        h = min(max(h, 0.0), top)
     return bisect_monotone(
         lambda q: binary_entropy(q, base), 0.0, 0.5, h, "increasing", tol
     )
@@ -190,54 +176,75 @@ def gaussian_cap_inv(c: float, base: LogBase = LogBase.BITS) -> float:
 
 
 def bisect_monotone(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
-    target: float,
+    target,
     direction: str = "increasing",
     tol: Tolerance = DEFAULT_TOL,
-) -> float:
+):
     """Solve f(x) = target on [lo, hi] for a monotone f by bisection.
 
     The bracket is halved until its width falls below ``tol.abs_tol``, which
     keeps the returned point's position (not just its residual) pinned; this
     matters when two different algebraic routes to the same root are compared.
     Targets within ``tol.abs_tol`` of an endpoint value clamp to that
-    endpoint: near a flat endpoint the root is too ill-conditioned for
-    sign-based halving to do better, and exact analytic boundary cases come
-    back exact.
+    endpoint (``lo`` where both apply): near a flat endpoint the root is too
+    ill-conditioned for sign-based halving to do better, and exact analytic
+    boundary cases come back exact.
 
-    Raises ValueError for a NaN target, BracketError when the target is not
-    between f(lo) and f(hi), and IterationLimitError if the bracket cannot
+    ``target`` is a float or an ndarray.  A float runs on Python floats.  An
+    array runs one bisection over every target with the same rules: ``f``
+    must then take an ndarray of midpoints (``f(lo)`` and ``f(hi)`` stay
+    scalar calls), and every bracket halves from [lo, hi] on each pass until
+    the widest one is within ``tol.abs_tol``, so each target gets the float
+    path's answer up to the rounding differences between f's two forms.
+
+    Raises ValueError for a NaN target, BracketError when a target is not
+    between f(lo) and f(hi), and IterationLimitError if the brackets cannot
     be narrowed within ``tol.max_iters`` halvings.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if math.isnan(target):
+    array = type(target) is not float and isinstance(target, np.ndarray)
+    if np.isnan(target).any() if array else math.isnan(target):
         raise ValueError("bisection target is NaN")
     sign = 1.0 if direction == "increasing" else -1.0
     f_lo = sign * f(lo)
     f_hi = sign * f(hi)
     t = sign * target
-    if t < f_lo - tol.abs_tol or t > f_hi + tol.abs_tol:
+    outside = (t < f_lo - tol.abs_tol) | (t > f_hi + tol.abs_tol)
+    if outside.any() if array else outside:
+        bad = target[outside].flat[0] if array else target
         raise BracketError(
-            f"target {target} not enclosed: f({lo})={sign * f_lo}, f({hi})={sign * f_hi}"
+            f"target {bad} not enclosed: f({lo})={sign * f_lo}, f({hi})={sign * f_hi}"
         )
-    if t <= f_lo + tol.abs_tol:
-        return lo
-    if t >= f_hi - tol.abs_tol:
-        return hi
-    a, b = lo, hi
-    for _ in range(tol.max_iters):
-        mid = 0.5 * (a + b)
-        if sign * f(mid) < t:
-            a = mid
-        else:
-            b = mid
-        if b - a <= tol.abs_tol:
-            return 0.5 * (a + b)
+    at_lo = t <= f_lo + tol.abs_tol
+    at_hi = t >= f_hi - tol.abs_tol
+    if not array:
+        if at_lo:
+            return lo
+        if at_hi:
+            return hi
+        a, b = lo, hi
+        for _ in range(tol.max_iters):
+            mid = 0.5 * (a + b)
+            if sign * f(mid) < t:
+                a = mid
+            else:
+                b = mid
+            if b - a <= tol.abs_tol:
+                return 0.5 * (a + b)
+    else:
+        a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
+        for _ in range(tol.max_iters):
+            mid = 0.5 * (a + b)
+            below = sign * f(mid) < t
+            a, b = np.where(below, mid, a), np.where(below, b, mid)
+            if np.max(b - a, initial=0.0) <= tol.abs_tol:
+                return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
     raise IterationLimitError(
         f"bisection did not reach width {tol.abs_tol} in {tol.max_iters} iterations"
     )

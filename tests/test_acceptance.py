@@ -148,18 +148,14 @@ def test_criterion_5_oracle_equivalence():
             failures.append(f"c12={c12}: deviation {max(dev_inner, dev_outer):.2e} > 5e-3")
 
         def exact_r2(r1):
-            if r1 >= fam.c1:
-                return fam.c12
-            q = bisect_monotone(fam.f1, 0.0, fam.b, max(r1, 0.0), "increasing", tight)
-            return fam.f2(q)
+            # one bisection over every corner; c12 from C1 on
+            q = bisect_monotone(fam.f1, 0.0, fam.b, np.clip(r1, 0.0, fam.c1), "increasing", tight)
+            return np.where(r1 >= fam.c1, fam.c12, fam.f2(q))
 
-        over_out = max(
-            float(r2) - exact_r2(float(r1)) for r1, r2 in zip(grid_outer.r1, grid_outer.r2)
-        )
-        over_in = max(
-            float(r2) - min(exact_r2(float(r1)), fam.c1 - float(r1))
-            for r1, r2 in zip(grid_inner.r1, grid_inner.r2)
-        )
+        over_out = float(np.max(grid_outer.r2 - exact_r2(grid_outer.r1)))
+        over_in = float(np.max(
+            grid_inner.r2 - np.minimum(exact_r2(grid_inner.r1), fam.c1 - grid_inner.r1)
+        ))
         if max(over_out, over_in) > 1e-9:
             failures.append(f"c12={c12}: oracle above the parametric frontier")
     dt = time.perf_counter() - t0

@@ -187,6 +187,12 @@ class TestSweep:
 
 
 class TestOracleCompare:
+    def test_gaussian_is_not_a_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle-compare", "gaussian", 5, 0.5, "--c12", 0.1, "--out", tmp_path])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_small_grid_one_sided(self, tmp_path, capsys):
         # coarse grids deviate more than the release budget; pass a loose one
         code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
@@ -256,6 +262,15 @@ class TestSimulate:
                     "--trials", 10, "--input-law", law, "--out", tmp_path])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        law = self.law_file(tmp_path)
+        code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                    "--n", 8, "--r1", 0.2, "--r2", 0.2, "--c12", 0.2, "--trials", 10,
+                    "--input-law", law, "--seed", -1, "--out", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_link_wider_than_the_float_range(self, tmp_path):
         law = self.law_file(tmp_path)

@@ -54,6 +54,10 @@ class TestCodeConfig:
         with pytest.raises(ValueError, match="finite"):
             CodeConfig(n=8, seed=0, input_law=UNIFORM_LAW, **rates)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CodeConfig(n=8, r1=0.1, r2=0.1, c12=0.1, seed=-1, input_law=UNIFORM_LAW)
+
     def test_exactly_one_law(self):
         with pytest.raises(ValueError):
             CodeConfig(n=4, r1=0.1, r2=0.1, c12=0.0, seed=0)

@@ -204,6 +204,84 @@ class TestBisectMonotone:
             bisect_monotone(lambda v: v, 0.0, 1.0, math.nan, direction)
 
 
+class TestBisectMonotoneArrays:
+    """An ndarray target runs one bisection over every element, by the float path's rules."""
+
+    TOL = Tolerance(abs_tol=1e-12, max_iters=400)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, direction, exact",
+        [
+            (lambda v: v, 0.0, 1.0, "increasing", True),
+            (lambda v: 1.0 - v * v, 0.0, 1.0, "decreasing", True),
+            (binary_entropy, 0.0, 0.5, "increasing", False),
+            (lambda v: binary_entropy(v, LogBase.NATS), 0.0, 0.5, "increasing", False),
+            (gaussian_cap, 0.0, 10.0, "increasing", False),
+        ],
+    )
+    def test_each_element_matches_float_path(self, f, lo, hi, direction, exact):
+        ends = sorted((f(lo), f(hi)))
+        targets = np.linspace(ends[0], ends[1], 501)
+        got = bisect_monotone(f, lo, hi, targets, direction, self.TOL)
+        want = np.array([bisect_monotone(f, lo, hi, float(t), direction, self.TOL) for t in targets])
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # numpy's log may flip a step where f(mid) is within ulps of the target
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * self.TOL.abs_tol)
+
+    def test_endpoint_values_are_scalar_calls(self):
+        seen = []
+
+        def f(v):
+            seen.append(type(v))
+            return v
+
+        bisect_monotone(f, 0.0, 1.0, np.array([0.2, 0.7]))
+        assert seen[:2] == [float, float]
+        assert set(seen[2:]) == {np.ndarray}
+
+    def test_zero_dimensional_target(self):
+        x = bisect_monotone(lambda v: v, 0.0, 1.0, np.array(0.3))
+        assert x.shape == () and x == bisect_monotone(lambda v: v, 0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_endpoint_clamps_per_element(self, direction):
+        tol = self.TOL.abs_tol
+        f = (lambda v: v) if direction == "increasing" else (lambda v: 1.0 - v)
+        targets = np.array([0.0, 0.5 * tol, 0.3, 1.0 - 0.5 * tol, 1.0])
+        got = bisect_monotone(f, 0.0, 1.0, targets, direction, self.TOL)
+        want = [bisect_monotone(f, 0.0, 1.0, float(t), direction, self.TOL) for t in targets]
+        np.testing.assert_array_equal(got, want)
+        edges = [0.0, 0.0, 1.0, 1.0] if direction == "increasing" else [1.0, 1.0, 0.0, 0.0]
+        assert got[[0, 1, 3, 4]].tolist() == edges
+        assert got[2] == pytest.approx(0.3 if direction == "increasing" else 0.7, abs=tol)
+
+    def test_low_end_wins_where_both_clamps_apply(self):
+        # f(hi) - f(lo) < 2 tol: every target is within tol of both endpoint values
+        def flat(v):
+            return 1e-11 * v
+
+        targets = np.array([0.0, 5e-12, 1e-11])
+        assert bisect_monotone(flat, 0.0, 1.0, targets).tolist() == [0.0, 0.0, 0.0]
+        assert all(bisect_monotone(flat, 0.0, 1.0, float(t)) == 0.0 for t in targets)
+
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_nan_element_rejected(self, direction):
+        with pytest.raises(ValueError, match="NaN"):
+            bisect_monotone(lambda v: v, 0.0, 1.0, np.array([0.3, math.nan]), direction)
+
+    @pytest.mark.parametrize("bad", [-0.5, 2.0])
+    def test_out_of_bracket_element(self, bad):
+        with pytest.raises(BracketError, match=f"target {bad} not enclosed"):
+            bisect_monotone(lambda v: v, 0.0, 1.0, np.array([0.3, bad, 0.6]))
+
+    def test_iteration_limit(self):
+        tol = Tolerance(abs_tol=1e-300, max_iters=5)
+        with pytest.raises(IterationLimitError):
+            bisect_monotone(lambda v: v, 0.0, 1.0, np.array([0.3, 0.6]), tol=tol)
+
+
 class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
