@@ -7,6 +7,8 @@ ordering, and the simulator runs any pair.  The boundary family is
 parameterized by the crossover q of the symmetric satellite layer:
 f1(q) = (1-tau1)*H_b(q), f2(q) = log2 - H_b(p2*q) + c12 on [0, 1/2]
 (* is binary convolution, log2 meaning the value of one bit in the base).
+These two are written only in ``becbsc_family``; the closed forms evaluate
+the family's f1 and f2 at the threshold crossover or the entropy inverse.
 
 A caution on parameter ranges: the family contract additionally needs f1+f2
 strictly increasing, which near q = 1/2 amounts to 1 - tau1 > (1 - 2*p2)**2,
@@ -70,7 +72,7 @@ def becbsc_family(
     bc: BecBscBC, c12: float, base: LogBase = LogBase.BITS
 ) -> ParametricFamily:
     """The crossover-parameterized boundary family for this channel pair."""
-    c1, c2 = check_c12(bc, c12, base)
+    c1, c2, c12 = check_c12(bc, c12, base)
     one = base.one_bit()
     return ParametricFamily(
         b=0.5,
@@ -78,7 +80,7 @@ def becbsc_family(
         f2=lambda q: one - binary_entropy(binary_convolution(bc.p2, q), base) + c12,
         c1=c1,
         c2=c2,
-        c12=max(c12, 0.0),
+        c12=c12,
     )
 
 
@@ -96,7 +98,7 @@ def q_threshold(
     admissible C12 range brackets the target, and boundary targets clamp to
     the exact endpoint.
     """
-    check_c12(bc, c12, base)
+    c12 = check_c12(bc, c12, base)[2]
     target = c12 + bc.tau1 * base.one_bit()
 
     def g(q: float) -> float:
@@ -113,8 +115,8 @@ def r1_th(
     base: LogBase = LogBase.BITS,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Threshold rate for user 1: (1-tau1)*H_b at the threshold crossover."""
-    return (1.0 - bc.tau1) * binary_entropy(q_threshold(bc, c12, base, tol), base)
+    """Threshold rate for user 1: f1 at the threshold crossover."""
+    return becbsc_family(bc, c12, base).f1(q_threshold(bc, c12, base, tol))
 
 
 def r2star_closed(
@@ -124,18 +126,14 @@ def r2star_closed(
     base: LogBase = LogBase.BITS,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Best r2 at rate r1: log2 - H_b(p2 * Hinv(r1/(1-tau1))) + C12.
+    """Best r2 at rate r1: f2 at the crossover Hinv(r1/(1-tau1)).
 
     The entropy inverse reuses the shared bisection so this closed form and
     the parametric route round identically.  Valid up to the threshold rate.
     """
     r1 = check_r1(r1, r1_th(bc, c12, base, tol))
     q = binary_entropy_inv(r1 / (1.0 - bc.tau1), base, tol)
-    return (
-        base.one_bit()
-        - binary_entropy(binary_convolution(bc.p2, q), base)
-        + c12
-    )
+    return becbsc_family(bc, c12, base).f2(q)
 
 
 def mgl_gap(

@@ -132,7 +132,7 @@ def cmd_oracle_compare(args) -> int:
     spec = oracle.GridSpec(steps=args.steps, u_cardinality=args.u_size)
     fam = bc.family(args.c12, base)
     t0 = time.perf_counter()
-    grid_inner, grid_outer = oracle.oracle_both(pair, args.c12, spec, base, threads=args.threads)
+    grid_inner, grid_outer = oracle.oracle_both(pair, fam.c12, spec, base, threads=args.threads)
     runtime = time.perf_counter() - t0
     param_inner = regions.inner_boundary(fam, args.grid)
     param_outer = regions.outer_boundary(fam, args.grid)
@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
     base, tol = LogBase(args.base), Tolerance(abs_tol=args.tol)
     bc = FAMILIES[args.family](*args.params)
     # the pair's ordering first: an unordered pair also makes the default grid decreasing
-    c1, c2 = regions.check_c12(bc, 0.0, base)
+    c1, c2, _ = regions.check_c12(bc, 0.0, base)
     if args.c12:
         grid = [float(v) for v in args.c12.split(",")]
     else:

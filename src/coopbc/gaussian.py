@@ -4,7 +4,9 @@ User k observes sqrt(s_k)*X + Z_k with unit-variance noise.  The bounds need
 user 1 to be the stronger receiver, s1 > s2, which ``check_c12`` checks as
 C2 < C1; the simulator runs any pair of positive SNRs.  The boundary family
 is parameterized by the share of input power carried by the private layer:
-f1(a) = cap(a*s1), f2(a) = C2 + c12 - cap(a*s2) on [0, 1].
+f1(a) = cap(a*s1), f2(a) = C2 + c12 - cap(a*s2) on [0, 1].  These two are
+written only in ``gaussian_family``; the closed forms evaluate the family's
+f1 and f2 at the closed-form threshold or inverse.
 """
 
 from __future__ import annotations
@@ -47,14 +49,14 @@ def gaussian_family(
     bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS
 ) -> ParametricFamily:
     """The power-split boundary family for this SNR pair and cooperation rate."""
-    c1, c2 = check_c12(bc, c12, base)
+    c1, c2, c12 = check_c12(bc, c12, base)
     return ParametricFamily(
         b=1.0,
         f1=lambda a: gaussian_cap(a * bc.s1, base),
         f2=lambda a: c2 + c12 - gaussian_cap(a * bc.s2, base),
         c1=c1,
         c2=c2,
-        c12=max(c12, 0.0),
+        c12=c12,
     )
 
 
@@ -62,19 +64,19 @@ def alpha_th_closed(bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS) ->
     """Threshold power split in closed form: ((s1-s2)/capinv(C1-C2-C12) - s2)^-1.
 
     At C12 = C1 - C2 the inner expression blows up and the limit value 0 is
-    returned directly.
+    returned directly.  At C12 = 0 the exact value is 1, which rounding can
+    overshoot by a few ulp, so the result is capped at 1.
     """
-    c1, c2 = check_c12(bc, c12, base)
-    delta = max(c1 - c2 - c12, 0.0)
-    snr = gaussian_cap_inv(delta, base)
+    c1, c2, c12 = check_c12(bc, c12, base)
+    snr = gaussian_cap_inv(c1 - c2 - c12, base)
     if snr <= 0.0:
         return 0.0
-    return 1.0 / ((bc.s1 - bc.s2) / snr - bc.s2)
+    return min(1.0 / ((bc.s1 - bc.s2) / snr - bc.s2), 1.0)
 
 
 def r1_th_closed(bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS) -> float:
-    """Threshold rate for user 1: cap at the threshold split times s1."""
-    return gaussian_cap(alpha_th_closed(bc, c12, base) * bc.s1, base)
+    """Threshold rate for user 1: f1 at the closed-form threshold split."""
+    return gaussian_family(bc, c12, base).f1(alpha_th_closed(bc, c12, base))
 
 
 def r2star_closed(
@@ -83,11 +85,10 @@ def r2star_closed(
     r1: float,
     base: LogBase = LogBase.BITS,
 ) -> float:
-    """Best r2 at rate r1 in closed form: C2 + C12 - cap(capinv(r1) * s2/s1).
+    """Best r2 at rate r1 in closed form: f2 at the split capinv(r1)/s1.
 
     Valid for r1 up to the threshold rate; beyond it the curve is not a
     proven boundary and the call is rejected.
     """
-    _, c2 = check_c12(bc, c12, base)
     r1 = check_r1(r1, r1_th_closed(bc, c12, base))
-    return c2 + c12 - gaussian_cap(gaussian_cap_inv(r1, base) * bc.s2 / bc.s1, base)
+    return gaussian_family(bc, c12, base).f2(gaussian_cap_inv(r1, base) / bc.s1)

@@ -158,21 +158,35 @@ def binary_convolution(p, q):
 
 
 def gaussian_cap(x, base: LogBase = LogBase.BITS):
-    """Point-to-point AWGN capacity log(1 + x)/2 at SNR x (a float or an ndarray)."""
+    """Point-to-point AWGN capacity log(1 + x)/2 at SNR x (a float or an ndarray).
+
+    A NaN, infinite or negative SNR is a ValueError.
+    """
     if type(x) is not float and isinstance(x, np.ndarray):
-        if np.any(x < 0.0):
-            raise ValueError(f"SNR must be nonnegative, got {x[x < 0.0].flat[0]}")
+        bad = ~((x >= 0.0) & (x < math.inf))  # NaN is bad too
+        if bad.any():
+            raise ValueError(f"SNR must be finite and nonnegative, got {x[bad].flat[0]}")
         return 0.5 * base.log_ufunc(1.0 + x)
-    if x < 0.0:
-        raise ValueError(f"SNR must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"SNR must be finite and nonnegative, got {x}")
     return 0.5 * base.log(1.0 + x)
 
 
 def gaussian_cap_inv(c: float, base: LogBase = LogBase.BITS) -> float:
-    """SNR achieving AWGN capacity c: base**(2c) - 1, exact inverse of gaussian_cap."""
-    if c < 0.0:
-        raise ValueError(f"capacity must be nonnegative, got {c}")
-    return base.power(2.0 * c) - 1.0
+    """SNR achieving AWGN capacity c: base**(2c) - 1, exact inverse of gaussian_cap.
+
+    A NaN, infinite or negative capacity is a ValueError, and so is one whose
+    SNR is beyond the largest float.
+    """
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"capacity must be finite and nonnegative, got {c}")
+    try:
+        snr = base.power(2.0 * c) - 1.0
+    except OverflowError:
+        snr = math.inf
+    if snr == math.inf:  # 2c itself may overflow to inf, which power passes through
+        raise ValueError(f"capacity {c} needs an SNR beyond the largest float")
+    return snr
 
 
 def bisect_monotone(

@@ -20,7 +20,6 @@ from .numerics import DEFAULT_TOL, LogBase, Tolerance, bisect_monotone
 
 _STRICT_SLACK = 1e-12
 _ENDPOINT_TOL = 1e-9
-_C12_SLACK = 1e-9
 # intervals of the grid on which a family's contract is checked
 _VALIDATION_POINTS = 1000
 
@@ -42,9 +41,9 @@ class ParametricFamily:
 
     Construction re-checks the contract on a validation grid: f1 and f2
     finite, f1 strictly increasing from 0 to c1, f2 strictly decreasing from
-    c2+c12 to c12, and f1+f2 strictly increasing.  These properties are what
-    make the threshold solve well-posed, so a family that fails them is
-    rejected outright.
+    c2+c12 to c12, f1+f2 strictly increasing, and c12 <= c1 - c2.  These
+    properties are what make the threshold solve well-posed, so a family that
+    fails them is rejected outright.
     """
 
     b: float
@@ -79,6 +78,10 @@ class ParametricFamily:
             raise ValueError("f2 is not strictly decreasing on the validation grid")
         if not np.all(np.diff(v1 + v2) > _STRICT_SLACK):
             raise ValueError("f1 + f2 is not strictly increasing on the validation grid")
+        if self.c12 > self.c1 - self.c2:
+            raise ValueError(
+                f"requires C12 <= C1 - C2 (got C12={self.c12}, C1-C2={self.c1 - self.c2})"
+            )
 
 
 def _on_grid(f: Callable, grid: np.ndarray) -> np.ndarray:
@@ -86,9 +89,10 @@ def _on_grid(f: Callable, grid: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
 
 
-def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
-    """(C1, C2) of a channel pair with ``cap1``/``cap2``, once 0 < C2 < C1 and
-    0 <= c12 <= C1 - C2.
+def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float, float]:
+    """(C1, C2, c12) of a channel pair with ``cap1``/``cap2``, once 0 < C2 < C1
+    and 0 <= c12 <= C1 - C2 to within 1e-9; the rate returned is c12 snapped
+    into that range, and every family and closed form takes that one value.
 
     This is the one place the ordering the bounds assume is checked: user 1
     must be the strictly stronger receiver and user 2's channel must carry
@@ -98,18 +102,17 @@ def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float]:
     c1, c2 = bc.cap1(base), bc.cap2(base)
     if not 0.0 < c2 < c1:
         raise ValueError(f"requires 0 < C2 < C1 (got C1={c1}, C2={c2} for {bc})")
-    if not -_C12_SLACK <= c12 <= c1 - c2 + _C12_SLACK:
-        raise ValueError(
-            f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={c1 - c2})"
-        )
-    return c1, c2
+    top = c1 - c2
+    if not -_ENDPOINT_TOL <= c12 <= top + _ENDPOINT_TOL:
+        raise ValueError(f"requires 0 <= C12 <= C1 - C2 (got C12={c12}, C1-C2={top})")
+    return c1, c2, min(max(c12, 0.0), top)
 
 
 def check_r1(r1: float, r1_th: float) -> float:
-    """r1 clamped at 0, once it lies in [0, r1_th], where the boundary is proven."""
+    """r1 snapped into [0, r1_th], where the boundary is proven, once within 1e-9 of it."""
     if not -_ENDPOINT_TOL <= r1 <= r1_th + _ENDPOINT_TOL:
         raise ValueError(f"r1 must lie in [0, {r1_th}], got {r1}")
-    return max(r1, 0.0)
+    return min(max(r1, 0.0), r1_th)
 
 
 @dataclass(frozen=True)
@@ -211,10 +214,6 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 def threshold_alpha(fam: ParametricFamily, tol: Tolerance = DEFAULT_TOL) -> float:
     """Parameter value where f1 + f2 crosses c1 (unique by strict increase)."""
-    if fam.c12 > fam.c1 - fam.c2 + _ENDPOINT_TOL:
-        raise ValueError(
-            f"requires C12 <= C1 - C2 (got C12={fam.c12}, C1-C2={fam.c1 - fam.c2})"
-        )
     return bisect_monotone(
         lambda a: fam.f1(a) + fam.f2(a), 0.0, fam.b, fam.c1, "increasing", tol
     )
@@ -231,7 +230,7 @@ def boundary_r2star(fam: ParametricFamily, r1: float, tol: Tolerance = DEFAULT_T
     Only defined up to the threshold rate; beyond it the boundary is no
     longer proven and this function refuses to extrapolate.
     """
-    r1 = min(check_r1(r1, r1_threshold(fam, tol)), fam.c1)
+    r1 = check_r1(r1, r1_threshold(fam, tol))
     alpha = bisect_monotone(fam.f1, 0.0, fam.b, r1, "increasing", tol)
     return fam.f2(alpha)
 

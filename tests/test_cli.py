@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from coopbc.becbsc import BecBscBC
 from coopbc.channel import AuxiliaryJoint, make_bec, make_bsc
 from coopbc.cli import build_parser, main
-from coopbc.regions import boundary_from_csv, boundary_from_json
+from coopbc.regions import _fmt, boundary_from_csv, boundary_from_json
 
 # channel pairs that exist but are not ordered as the bounds need (C2 < C1)
 UNORDERED = [("gaussian", 0.5, 5.0), ("becbsc", 0.8, 0.2), ("becbsc", 0.1, 0.5)]
@@ -45,6 +46,12 @@ class TestRegion:
         code = run(["region", "becbsc", 0.1, 0.2, "--c12", 1.0, "--out", tmp_path])
         assert code == 2
         assert "C1 - C2" in capsys.readouterr().err
+
+    def test_threshold_rate_finite_at_the_largest_snr(self, tmp_path, capsys):
+        code = run(["region", "gaussian", 1.7976931348623157e308, 1, "--c12", 0,
+                    "--grid", 11, "--out", tmp_path])
+        assert code == 0
+        assert "alpha_th = 1\nr1_th = 512 bits\n" in capsys.readouterr().out
 
     def test_gaussian_rejects_bad_order(self, tmp_path):
         assert run(["region", "gaussian", 0.5, 5, "--c12", 0.1, "--out", tmp_path]) == 2
@@ -338,6 +345,52 @@ class TestUnorderedPairs:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "0 < C2 < C1" in err
         assert not any(tmp_path.iterdir())
+
+
+# the figure pairs; C1 - C2 is 1 bit for the Gaussian pair
+EDGE_TOPS = {"gaussian": 1.0, "becbsc": BecBscBC(0.1, 0.2).cap1() - BecBscBC(0.1, 0.2).cap2()}
+EDGE_COMMANDS = [
+    ("gaussian", ["region", "gaussian", 5, 0.5, "--grid", 101]),
+    ("gaussian", ["fig2", "--grid", 101]),
+    ("gaussian", ["sweep", "gaussian", 5, 0.5]),
+    ("becbsc", ["region", "becbsc", 0.1, 0.2, "--grid", 101]),
+    ("becbsc", ["fig3", "--grid", 101]),
+    ("becbsc", ["sweep", "becbsc", 0.1, 0.2]),
+    ("becbsc", ["oracle-compare", "becbsc", 0.1, 0.2, "--steps", 8, "--budget", 1, "--grid", 101]),
+]
+
+
+def run_labelled(argv, c12, out, capsys):
+    """Exit code, stdout and every file the command wrote, with what names the
+    requested rate taken out: the rate in file names, the c12 column of csv
+    tables, and meta.json's runtime."""
+    code = run(argv + [f"--c12={c12!r}", "--out", out])
+    label = f"_c12_{_fmt(c12)}."
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.name == "meta.json":
+            text = {k: v for k, v in json.loads(text).items() if k != "runtime_seconds"}
+        elif text.startswith("c12,"):
+            text = [line.split(",", 1)[1] for line in text.splitlines()]
+        files[path.relative_to(out).as_posix().replace(label, "_c12_C12.")] = text
+    stdout = capsys.readouterr().out.replace(str(out), "OUT").replace(label, "_c12_C12.")
+    return code, stdout, files
+
+
+class TestEdgeRates:
+    """A rate within 1e-9 outside [0, C1 - C2] gives the results of the
+    nearest end of the range."""
+
+    @pytest.mark.parametrize("end", ["zero", "top"])
+    @pytest.mark.parametrize("family, argv", EDGE_COMMANDS)
+    def test_same_output_as_the_range_end(self, tmp_path, capsys, family, argv, end):
+        at = 0.0 if end == "zero" else EDGE_TOPS[family]
+        near = -5e-10 if end == "zero" else at + 5e-10
+        code, stdout, files = run_labelled(argv, near, tmp_path / "near", capsys)
+        assert code == 0
+        assert (code, stdout, files) == run_labelled(argv, at, tmp_path / "at", capsys)
+        assert files
 
 
 NON_FINITE_ARGV = {

@@ -92,6 +92,21 @@ class TestAlphaThreshold:
     def test_no_cooperation(self):
         assert alpha_th_closed(BC, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_no_cooperation_never_above_one(self):
+        # the exact value is 1; rounding overshoots it for many pairs
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            s2 = float(rng.uniform(0.01, 10.0))
+            bc = GaussianBC(s2 * float(rng.uniform(1.01, 100.0)), s2)
+            for base in LogBase:
+                assert alpha_th_closed(bc, 0.0, base) <= 1.0
+                assert r1_th_closed(bc, 0.0, base) <= bc.cap1(base)
+
+    def test_no_cooperation_at_the_largest_snr(self):
+        bc = GaussianBC(1.7976931348623157e308, 1.0)
+        assert alpha_th_closed(bc, 0.0) == 1.0
+        assert r1_th_closed(bc, 0.0) == bc.cap1() == 512.0
+
     def test_half_bit(self):
         assert alpha_th_closed(BC, 0.5) == pytest.approx(0.25, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ class TestGaussianCap:
             gaussian_cap(-1.0)
         with pytest.raises(ValueError):
             gaussian_cap_inv(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_non_finite_rejected(self, bad, base):
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            gaussian_cap(bad, base)
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            gaussian_cap(np.array([1.0, bad]), base)
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            gaussian_cap_inv(bad, base)
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_inverse_overflow_is_a_value_error(self, base):
+        for big in (2000.0, 1e308, sys.float_info.max):
+            with pytest.raises(ValueError, match="largest float"):
+                gaussian_cap_inv(big, base)
+        assert math.isfinite(gaussian_cap_inv(511.0 * base.one_bit(), base))
 
 
 class TestBisectMonotone:

@@ -114,9 +114,9 @@ class TestThreshold:
         assert threshold_alpha(gaussian_family(BC, C1 - C2)) == pytest.approx(0.0, abs=1e-9)
 
     def test_precondition(self):
-        fam = linear_family(c1=1.0, c2=0.4, c12=0.7)  # c12 > c1 - c2
+        # the family refuses c12 > c1 - c2, so no threshold is ever sought for one
         with pytest.raises(ValueError, match="C1 - C2"):
-            threshold_alpha(fam)
+            linear_family(c1=1.0, c2=0.4, c12=0.7)
 
     def test_r1_threshold_values(self):
         assert r1_threshold(gaussian_family(BC, 0.0)) == pytest.approx(C1, abs=1e-9)
@@ -131,6 +131,39 @@ class TestThreshold:
         sums = np.array([fam.f1(a) + fam.f2(a) - C1 for a in alphas])
         signs = np.sign(sums[sums != 0.0])
         assert np.count_nonzero(np.diff(signs)) == 1
+
+
+@st.composite
+def pairs_and_rates(draw):
+    """An ordered pair inside its family's contract, a base, and a rate in
+    [0, C1 - C2] that is often an end of the range or C1 - C2 computed another
+    way, which can be an ulp above it."""
+    base = draw(st.sampled_from(list(LogBase)))
+    if draw(st.booleans()):
+        s2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+        bc = GaussianBC(s2 * (1.0 + 10.0 ** draw(st.floats(-2.0, 3.0))), s2)
+        other_top = 0.5 * base.log((1.0 + bc.s1) / (1.0 + bc.s2))
+    else:
+        p2 = draw(st.floats(0.01, 0.49))
+        h2 = -p2 * math.log2(p2) - (1.0 - p2) * math.log2(1.0 - p2)
+        bc = BecBscBC(draw(st.floats(0.0, 0.99)) * min(h2, 4.0 * p2 * (1.0 - p2)), p2)
+        other_top = (h2 - bc.tau1) * base.one_bit()
+    top = bc.cap1(base) - bc.cap2(base)
+    c12 = draw(st.sampled_from([0.0, top, other_top]) | st.floats(0.0, 1.0).map(lambda u: u * top))
+    return bc, base, c12
+
+
+class TestThresholdRange:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pairs_and_rates())
+    def test_threshold_and_diamond_in_range(self, case):
+        bc, base, c12 = case
+        fam = bc.family(c12, base)
+        t = bc.threshold(c12, base)
+        assert 0.0 <= t <= fam.b
+        r1 = fam.f1(t)
+        assert r1 <= fam.c1
+        assert fam.c1 - r1 >= 0.0  # the diamond's r2
 
 
 class TestBoundaryR2Star:
