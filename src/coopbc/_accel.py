@@ -1,11 +1,14 @@
 """The simulator's ML decoders in numpy; none runs a Python loop per trial.
 
-Every decoder works on a chunk of trials at a time and keeps the arithmetic of
-a per-trial loop: integer scores are exact, and floating scores are built from
-the same per-element operations, added symbol by symbol left to right.  Each
-decision is the first minimum of a cost sum (mismatches, squared distances or
-negated log-scores), so it does not depend on the chunk size, on the number of
-BLAS threads, or on how the caller splits trials.
+Every decision is the first minimum of a cost sum (mismatches, squared
+distances or negated log-scores), taken by one loop, ``_first_min``, over
+tiles of a chunk of trials x a block of candidate positions.  A kernel only
+scores its tiles, with the arithmetic of a per-trial loop: integer scores are
+exact, and floating scores add the same per-element terms symbol by symbol.
+Blocks merge in position order by a strict "lower than" and every pick starts
+at position 0, so ties keep the first index and a row of all +inf keeps
+position 0.  Decisions do not depend on the chunk or block size, on the
+number of BLAS threads, or on how the caller splits trials.
 
 Kernels:
   * decode_map_int   - fewest mismatches on unerased positions (erasure channels)
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Bytes of score and scratch arrays one chunk of trials may hold.  Small
-# enough that a chunk stays in cache and adds little to peak memory; a trial
-# whose own scores exceed it is decoded alone.
+# Bytes one tile may hold, at 32 per trial and position: about what a user-2
+# tile and the arrays scoring it take.  Small enough that a tile stays in
+# cache; a tile of one trial may exceed it.
 CHUNK_BYTES = 1 << 20
 
 # Largest integer magnitude below which every float32 integer sum is exact.
@@ -29,22 +32,31 @@ _F32_EXACT = 1 << 24
 # Received symbol of an erased position in the words decode_map_int reads.
 ERASURE = 2
 
-# Codewords per GEMM block in decode_map_int: a chunk scores CHUNK_BYTES /
-# (4 * _CW_BLOCK) trials against one block at a time, so a large codebook is
-# read once per chunk rather than once per trial.
+# Candidate positions per tile.
 _CW_BLOCK = 4096
 
 
-def _chunks(trials: int, row_bytes: int):
-    """Consecutive slices of trials, each holding about CHUNK_BYTES of rows."""
-    step = max(1, CHUNK_BYTES // row_bytes)
-    for a in range(0, trials, step):
-        yield slice(a, min(a + step, trials))
+def _first_min(trials: int, n_cand: int, tile) -> np.ndarray:
+    """Position of each trial's first minimum cost among n_cand candidates.
 
+    ``tile(sl, b, e)`` returns the costs of trials sl at positions b..e-1.
+    Every chunk of trials is scored against one block before the next block
+    starts, so each block of a large codebook is read once per call.
+    """
+    out, best = np.zeros(trials, dtype=np.int64), np.full(trials, np.inf)
+    block = max(1, min(n_cand, _CW_BLOCK))
+    step = max(1, CHUNK_BYTES // (32 * block))
+    for b in range(0, n_cand, block):
+        for a in range(0, trials, step):
+            sl = slice(a, min(a + step, trials))
+            costs = tile(sl, b, min(b + block, n_cand))
+            j = np.argmin(costs, axis=1)
+            low = np.take_along_axis(costs, j[:, None], axis=1)[:, 0]
+            better = low < best[sl]
+            best[sl][better] = low[better]
+            out[sl][better] = j[better] + b
+    return out
 
-# ---------------------------------------------------------------------------
-# codeword decoding over the whole codebook
-# ---------------------------------------------------------------------------
 
 def decode_map_int(codebook, ys):
     """Index of the first codeword with the fewest mismatches on unerased positions.
@@ -53,30 +65,16 @@ def decode_map_int(codebook, ys):
     A word without erasures is scored by its Hamming distance.  The mismatch
     count of codeword c is #{i: y_i = 1} + c . w(y) with w = +1, -1 and 0 for
     a received 0, 1 and erasure.  The first term is the same for every
-    codeword and is dropped; the second is a float32 GEMM per chunk of trials
-    and block of codewords.  Every partial sum is an integer of magnitude at
-    most n, so for n <= 2**24 the GEMM is exact in any summation order and
-    any number of BLAS threads.  Blocks merge by a strict "lower than", so
-    the argmin (first index on ties) equals that of the integer counts.
+    codeword and is dropped; the second is a float32 GEMM per tile.  Every
+    partial sum is an integer of magnitude at most n, so for n <= 2**24 the
+    GEMM is exact in any summation order and any number of BLAS threads.
     """
     n_cw, n = codebook.shape
     if n > _F32_EXACT:
         raise ValueError(f"blocklength {n} exceeds 2**24; float32 scores would round")
     bits = np.ascontiguousarray(codebook.T, dtype=np.float32)  # (n, M)
     weights = np.array([1.0, -1.0, 0.0], dtype=np.float32)[ys]  # (T, n): w(y)
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    block = min(n_cw, _CW_BLOCK)
-    for sl in _chunks(ys.shape[0], 4 * block):
-        w, pick = weights[sl], out[sl]
-        best = np.full(w.shape[0], np.inf, dtype=np.float32)
-        for b in range(0, n_cw, block):
-            scores = w @ bits[:, b : b + block]
-            j = np.argmin(scores, axis=1)
-            low = np.take_along_axis(scores, j[:, None], axis=1)[:, 0]
-            better = low < best
-            best[better] = low[better]
-            pick[better] = j[better] + b
-    return out
+    return _first_min(ys.shape[0], n_cw, lambda sl, b, e: weights[sl] @ bits[:, b:e])
 
 
 def decode_sq(codebook, scale, ys):
@@ -86,51 +84,45 @@ def decode_sq(codebook, scale, ys):
     symbol, exactly as a per-trial loop would; no expansion of |y - c|^2.
     """
     scaled = np.ascontiguousarray((scale * codebook).T)  # (n, M)
-    n, n_cw = scaled.shape
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    for sl in _chunks(ys.shape[0], 16 * n_cw):
+
+    def tile(sl, b, e):
         y = ys[sl]
-        acc = np.zeros((y.shape[0], n_cw))
+        acc = np.zeros((y.shape[0], e - b))
         d = np.empty_like(acc)
-        for i in range(n):
-            np.subtract(y[:, i, None], scaled[i], out=d)
+        for i in range(scaled.shape[0]):
+            np.subtract(y[:, i, None], scaled[i, b:e], out=d)
             np.multiply(d, d, out=d)
             acc += d
-        out[sl] = np.argmin(acc, axis=1)
-    return out
+        return acc
 
+    return _first_min(ys.shape[0], scaled.shape[1], tile)
 
-# ---------------------------------------------------------------------------
-# codeword decoding over per-trial index ranges
-# ---------------------------------------------------------------------------
 
 def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):
-    """Shared driver for the restricted decoders.
+    """Shared tile for the restricted decoders.
 
     Trial t searches the codewords from cand_start[b] on, cand_count[b] of
-    them, for b = cand_of[t].  Each chunk gathers its trials' ranges as a
-    (T, K) block, K the largest count among them; padding repeats the range
-    start and sits after the valid entries.  ``score(acc, column, y)`` adds
-    symbol i's costs for candidate symbols ``column`` (T, K) and received
-    symbols ``y`` (T, 1) into acc in place.  Padding costs +inf, so the
-    first minimum falls on the same candidate as a loop over the range.
+    them, for b = cand_of[t]: its position k is codeword cand_start[b] + k.
+    ``score(acc, column, y)`` adds symbol i's costs for candidate symbols
+    ``column`` and received symbols ``y`` (trials, 1) into acc in place.
+    Positions past a range cost +inf, so the pick is that of a loop over the
+    range, and an all-+inf range picks its start.
     """
     columns = np.ascontiguousarray(codebook.T)  # (n, nu2)
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    k_max = int(cand_count[cand_of].max(initial=1))
-    for sl in _chunks(ys.shape[0], 32 * k_max):
-        counts = cand_count[cand_of[sl]]
-        k = np.arange(int(counts.max()))
-        valid = k < counts[:, None]
-        starts = cand_start[cand_of[sl]][:, None]
-        cands = np.where(valid, starts + k, starts)
+    starts, counts = cand_start[cand_of], cand_count[cand_of]
+
+    def tile(sl, b, e):
+        k = np.arange(b, e)
+        valid = k < counts[sl, None]
+        cands = np.where(valid, starts[sl, None] + k, starts[sl, None])
         y = ys[sl]
         acc = np.zeros(cands.shape)
         for i in range(columns.shape[0]):
             score(acc, columns[i][cands], y[:, i, None])
         acc[~valid] = np.inf
-        out[sl] = cands[np.arange(cands.shape[0]), np.argmin(acc, axis=1)]
-    return out
+        return acc
+
+    return starts + _first_min(ys.shape[0], int(counts.max(initial=0)), tile)
 
 
 def decode_map_float(codebook, logscore, ys, cand_start, cand_count, cand_of):

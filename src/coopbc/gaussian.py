@@ -63,15 +63,20 @@ def gaussian_family(
 def alpha_th_closed(bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS) -> float:
     """Threshold power split in closed form: ((s1-s2)/capinv(C1-C2-C12) - s2)^-1.
 
-    At C12 = C1 - C2 the inner expression blows up and the limit value 0 is
-    returned directly.  At C12 = 0 the exact value is 1, which rounding can
-    overshoot by a few ulp, so the result is capped at 1.
+    With k = base**(-2*C12) that is ((1+s1)k - (1+s2)) / (s1 - s2 k + s1 s2 (1-k)),
+    evaluated divided by s1 (no overflow) with k - 1 from expm1, so the
+    numerator reads k - s2/s1 + (k-1)/s1: k - 1 formed from a rounded k would be
+    magnified by 1/s1 at low SNR.  The first form cancels at high SNR
+    (0.99999994 for the exact 1 at GaussianBC(1e9, 1e8), C12 = 0).
+    Rounding is clamped into [0, 1]; the limit 0 at C12 = C1 - C2 is returned as is.
     """
     c1, c2, c12 = check_c12(bc, c12, base)
-    snr = gaussian_cap_inv(c1 - c2 - c12, base)
-    if snr <= 0.0:
+    if c12 >= c1 - c2:
         return 0.0
-    return min(1.0 / ((bc.s1 - bc.s2) / snr - bc.s2), 1.0)
+    log_k = -2.0 * c12 * base.ln_scale
+    k, km1, s1, s2 = math.exp(log_k), math.expm1(log_k), bc.s1, bc.s2
+    alpha = (k - s2 / s1 + km1 / s1) / (1.0 - s2 / s1 * k - s2 * km1)
+    return min(max(alpha, 0.0), 1.0)
 
 
 def r1_th_closed(bc: GaussianBC, c12: float, base: LogBase = LogBase.BITS) -> float:

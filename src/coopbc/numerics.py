@@ -178,6 +178,7 @@ def gaussian_cap_inv(c: float, base: LogBase = LogBase.BITS) -> float:
     A NaN, infinite or negative capacity is a ValueError, and so is one whose
     SNR is beyond the largest float.
     """
+    c = float(c)  # numpy's power would warn on overflow rather than raise
     if not 0.0 <= c < math.inf:
         raise ValueError(f"capacity must be finite and nonnegative, got {c}")
     try:

@@ -2,7 +2,7 @@
 
 The references score one trial at a time, adding symbol by symbol, and take
 numpy's first-index argmin/argmax.  The batched kernels must return exactly
-the same indices, ties included, for any chunk size.
+the same indices, ties included, for any chunk and block size.
 """
 
 import itertools
@@ -105,6 +105,11 @@ def permutation_book(seed, n=7):
     return np.array(list(itertools.permutations(v)))
 
 
+def default_step(n_cand):
+    """Trials per chunk of ``_accel._first_min`` at the default sizes."""
+    return _accel.CHUNK_BYTES // (32 * min(n_cand, _accel._CW_BLOCK))
+
+
 def bins_for(m, bin_size, n_bins):
     """Bin of each of m codewords, and the bins as index ranges (starts,
     counts): consecutive blocks of bin_size, empty past the last codeword."""
@@ -148,7 +153,7 @@ class TestDecodeMapInt:
         book = binary_book(rng, 2 * block + 5, 16)
         book[block + 3] = book[10]  # ties across codeword blocks keep the first
         book[2 * block + 1] = book[block + 7]
-        step = _accel.CHUNK_BYTES // (4 * block)
+        step = default_step(book.shape[0])
         ys = bec_outputs(rng, book, 2 * step + 3, erase=0.2)
         ys[:2] = book[[10, block + 7]]
         got = _accel.decode_map_int(book, ys)
@@ -189,14 +194,25 @@ class TestDecodeSq:
         np.testing.assert_array_equal(got, ref_decode_sq(book, 1.7, ys))
         assert np.any(got != ref_decode_sq(book[:, ::-1], 1.7, ys))
 
+    def test_exact_tie_across_a_block_boundary_picks_the_earlier_block(self, chunking):
+        # under the block-7 chunking the two copies sit in different blocks
+        rng = np.random.default_rng(9)
+        book = rng.standard_normal((20, 5))
+        book[9] = book[4]
+        ys = 1.4 * book[[4, 4, 12]] + 0.05 * rng.standard_normal((3, 5))
+        got = _accel.decode_sq(book, 1.4, ys)
+        np.testing.assert_array_equal(got, [4, 4, 12])
+        np.testing.assert_array_equal(got, ref_decode_sq(book, 1.4, ys))
+
     def test_crosses_default_chunk_boundary(self):
         rng = np.random.default_rng(8)
-        book = rng.standard_normal((2048, 6))
-        step = _accel.CHUNK_BYTES // (16 * book.shape[0])
-        ys = book[rng.integers(2048, size=2 * step + 1)] + 0.5 * rng.standard_normal((2 * step + 1, 6))
-        np.testing.assert_array_equal(
-            _accel.decode_sq(book, 1.0, ys), ref_decode_sq(book, 1.0, ys)
-        )
+        m = _accel._CW_BLOCK + 300
+        book = rng.standard_normal((m, 6))
+        trials = 2 * default_step(m) + 1
+        ys = book[rng.integers(m, size=trials)] + 0.5 * rng.standard_normal((trials, 6))
+        got = _accel.decode_sq(book, 1.0, ys)
+        np.testing.assert_array_equal(got, ref_decode_sq(book, 1.0, ys))
+        assert np.any(got >= _accel._CW_BLOCK)
 
 
 class TestDecodeMapFloat:
@@ -260,18 +276,20 @@ class TestDecodeMapFloat:
         )
 
     def test_crosses_default_chunk_boundary(self):
+        # bins of a block and a half: a range spans two blocks of positions
         rng = np.random.default_rng(13)
-        clouds = binary_book(rng, 4096, 6)
+        bin_size = _accel._CW_BLOCK * 3 // 2
+        clouds = binary_book(rng, 2 * bin_size, 20)
         logscore = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        bins, cands = bins_for(4096, 1024, 4)
-        step = _accel.CHUNK_BYTES // (32 * 1024)
-        trials = 2 * step + 5
-        ys = rng.integers(0, 2, size=(trials, 6)).astype(np.int8)
-        cand_of = bins[rng.integers(4096, size=trials)]
+        bins, cands = bins_for(2 * bin_size, bin_size, 2)
+        trials = 2 * default_step(bin_size) + 5
+        ys = rng.integers(0, 2, size=(trials, 20)).astype(np.int8)
+        cand_of = bins[rng.integers(2 * bin_size, size=trials)]
+        got = _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of)
         np.testing.assert_array_equal(
-            _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of),
-            ref_decode_map_float(clouds, logscore, ys, *cands, cand_of),
+            got, ref_decode_map_float(clouds, logscore, ys, *cands, cand_of)
         )
+        assert np.any(got - cands[0][cand_of] >= _accel._CW_BLOCK)
 
 
 class TestDecodeSqRestricted:
@@ -311,15 +329,31 @@ class TestDecodeSqRestricted:
             ref_decode_sq_restricted(clouds, 1.1, ys, *cands, cand_of),
         )
 
+    def test_exact_tie_across_a_block_boundary_picks_the_earlier_block(self, chunking):
+        # positions 4 and 9 of bin 1 repeat one codeword; under the block-7
+        # chunking they sit in different blocks
+        rng = np.random.default_rng(23)
+        clouds = rng.standard_normal((40, 5))
+        clouds[29] = clouds[24]
+        bins, cands = bins_for(40, 20, 2)
+        ys = 0.8 * clouds[[24, 24, 33]] + 0.05 * rng.standard_normal((3, 5))
+        cand_of = np.array([1, 1, 1])
+        got = _accel.decode_sq_restricted(clouds, 0.8, ys, *cands, cand_of)
+        np.testing.assert_array_equal(got, [24, 24, 33])
+        np.testing.assert_array_equal(
+            got, ref_decode_sq_restricted(clouds, 0.8, ys, *cands, cand_of)
+        )
+
     def test_crosses_default_chunk_boundary(self):
         rng = np.random.default_rng(22)
-        clouds = rng.standard_normal((2048, 5))
-        bins, cands = bins_for(2048, 512, 4)
-        step = _accel.CHUNK_BYTES // (32 * 512)
-        trials = 2 * step + 7
+        bin_size = _accel._CW_BLOCK + 512
+        clouds = rng.standard_normal((2 * bin_size, 5))
+        bins, cands = bins_for(2 * bin_size, bin_size, 2)
+        trials = 2 * default_step(bin_size) + 7
         ys = rng.standard_normal((trials, 5))
-        cand_of = bins[rng.integers(2048, size=trials)]
+        cand_of = bins[rng.integers(2 * bin_size, size=trials)]
+        got = _accel.decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of)
         np.testing.assert_array_equal(
-            _accel.decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of),
-            ref_decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of),
+            got, ref_decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of)
         )
+        assert np.any(got - cands[0][cand_of] >= _accel._CW_BLOCK)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from coopbc.gaussian import (
     r1_th_closed,
     r2star_closed,
 )
-from coopbc.numerics import LogBase
+from coopbc.numerics import LogBase, Tolerance, bisect_monotone
 from coopbc.regions import boundary_r2star, inner_boundary, outer_boundary, threshold_alpha
 
 BC = GaussianBC(5.0, 0.5)
@@ -106,6 +108,41 @@ class TestAlphaThreshold:
         bc = GaussianBC(1.7976931348623157e308, 1.0)
         assert alpha_th_closed(bc, 0.0) == 1.0
         assert r1_th_closed(bc, 0.0) == bc.cap1() == 512.0
+
+    def test_no_cooperation_at_high_snr_matches_bisection(self):
+        # (s1 - s2)/snr - s2 would cancel here and lose 6e-8
+        bc = GaussianBC(1e9, 1e8)
+        closed = alpha_th_closed(bc, 0.0)
+        assert closed == 1.0
+        assert abs(closed - threshold_alpha(gaussian_family(bc, 0.0))) <= 1e-9
+        for c12 in (0.3, 1.0):
+            closed = alpha_th_closed(bc, c12)
+            assert abs(closed - threshold_alpha(gaussian_family(bc, c12))) <= 1e-9
+
+    def test_largest_snr_with_cooperation_does_not_overflow(self):
+        # s1*s2 overflows; the split is about 3.3e-10, not 0
+        bc = GaussianBC(1e308, 1e9)
+        assert alpha_th_closed(bc, 1.0) == pytest.approx(1.0 / 3.0e9, rel=1e-6)
+
+    @pytest.mark.parametrize("s1", [1e-8, 1e-12])
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_low_snr_matches_log1p_bisection(self, s1, base):
+        # k - 1 taken from a rounded k would lose 1e-16/s1 here.  The family
+        # cannot serve as the reference (its caps form log(1 + x) and its
+        # contract refuses steps below 1e-12), so bisect the defining
+        # equation log1p(a s1) - log1p(a s2) = log1p(s1) - log1p(s2) - 2 C12,
+        # divided by s1 so that it is of order 1
+        bc = GaussianBC(s1, 0.5 * s1)
+        top = bc.cap1(base) - bc.cap2(base)
+
+        def gap(a):
+            return (math.log1p(a * bc.s1) - math.log1p(a * bc.s2)) / bc.s1
+
+        for u in (0.1, 0.5, 0.9):
+            c12 = u * top
+            target = gap(1.0) - 2.0 * c12 * base.ln_scale / bc.s1
+            want = bisect_monotone(gap, 0.0, 1.0, target, tol=Tolerance(1e-15))
+            assert abs(alpha_th_closed(bc, c12, base) - want) <= 1e-12
 
     def test_half_bit(self):
         assert alpha_th_closed(BC, 0.5) == pytest.approx(0.25, abs=1e-12)

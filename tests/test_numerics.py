@@ -170,6 +170,14 @@ class TestGaussianCap:
                 gaussian_cap_inv(big, base)
         assert math.isfinite(gaussian_cap_inv(511.0 * base.one_bit(), base))
 
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_numpy_scalar_overflow_is_a_value_error_without_a_warning(self, base):
+        # the suite turns RuntimeWarning into an error, so numpy's overflow
+        # warning would fail this before the ValueError
+        with pytest.raises(ValueError, match="largest float"):
+            gaussian_cap_inv(np.float64(2000.0), base)
+        assert gaussian_cap_inv(np.float64(0.5), LogBase.BITS) == gaussian_cap_inv(0.5)
+
 
 class TestBisectMonotone:
     def test_identity(self):

@@ -137,10 +137,11 @@ class TestThreshold:
 def pairs_and_rates(draw):
     """An ordered pair inside its family's contract, a base, and a rate in
     [0, C1 - C2] that is often an end of the range or C1 - C2 computed another
-    way, which can be an ulp above it."""
+    way, which can be an ulp above it.  Gaussian SNRs go down to 1e-6; much
+    below, f1 + f2 steps less than the contract's 1e-12 per grid interval."""
     base = draw(st.sampled_from(list(LogBase)))
     if draw(st.booleans()):
-        s2 = 10.0 ** draw(st.floats(-3.0, 3.0))
+        s2 = 10.0 ** draw(st.floats(-6.0, 3.0))
         bc = GaussianBC(s2 * (1.0 + 10.0 ** draw(st.floats(-2.0, 3.0))), s2)
         other_top = 0.5 * base.log((1.0 + bc.s1) / (1.0 + bc.s2))
     else:
