@@ -138,6 +138,8 @@ def cmd_oracle_compare(args) -> int:
     param_outer = regions.outer_boundary(fam, args.grid)
     dev_inner = oracle.frontier_deviation(grid_inner, param_inner)
     dev_outer = oracle.frontier_deviation(grid_outer, param_outer)
+    dom_inner = oracle.frontier_dominance(grid_inner, param_inner)
+    dom_outer = oracle.frontier_dominance(grid_outer, param_outer)
     out = Path(args.out)
     for name, boundary in (
         ("oracle_inner", grid_inner),
@@ -151,10 +153,14 @@ def cmd_oracle_compare(args) -> int:
         "steps": spec.steps,
         "evaluations": oracle.evaluation_count(pair, spec),
         "runtime_seconds": round(runtime, 3),
+        "inner_deviation": dev_inner,
+        "outer_deviation": dev_outer,
+        "inner_dominance": dom_inner,
+        "outer_dominance": dom_outer,
     }
     _write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
-    print(f"inner deviation = {_fmt(dev_inner)} {args.base}")
-    print(f"outer deviation = {_fmt(dev_outer)} {args.base}")
+    for side, dev, dom in (("inner", dev_inner, dom_inner), ("outer", dev_outer, dom_outer)):
+        print(f"{side} deviation = {_fmt(dev)} {args.base}, dominance = {_fmt(dom)} {args.base}")
     print(f"wrote frontiers and meta.json under {out}")
     if max(dev_inner, dev_outer) > args.budget:
         print(f"FAIL: deviation exceeds budget {_fmt(args.budget)}")

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from coopbc import oracle, regions
 from coopbc.becbsc import BecBscBC
 from coopbc.channel import AuxiliaryJoint, make_bec, make_bsc
 from coopbc.cli import build_parser, main
+from coopbc.numerics import LogBase
 from coopbc.regions import _fmt, boundary_from_csv, boundary_from_json
 
 # channel pairs that exist but are not ordered as the bounds need (C2 < C1)
@@ -208,6 +210,23 @@ class TestOracleCompare:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["steps"] == 20 and meta["u_cardinality"] == 2
         assert (tmp_path / "oracle_inner.csv").exists()
+
+    def test_deviation_and_dominance_in_meta(self, tmp_path, capsys):
+        code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 20,
+                    "--u-size", 2, "--grid", 101, "--budget", 0.5, "--out", tmp_path])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        bc = BecBscBC(0.1, 0.2)
+        fam = bc.family(0.2, LogBase.BITS)
+        grids = oracle.oracle_both(bc.pair(), fam.c12, oracle.GridSpec(steps=20, u_cardinality=2),
+                                   LogBase.BITS)
+        params = (regions.inner_boundary(fam, 101), regions.outer_boundary(fam, 101))
+        for side, grid, param in zip(("inner", "outer"), grids, params):
+            dev, dom = meta[f"{side}_deviation"], meta[f"{side}_dominance"]
+            assert dev == oracle.frontier_deviation(grid, param) <= 0.5
+            assert dom == oracle.frontier_dominance(grid, param) >= 0
+            assert f"{side} deviation = {_fmt(dev)} bits, dominance = {_fmt(dom)} bits" in out
 
     def test_budget_failure_exit(self, tmp_path):
         code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
