@@ -9,6 +9,9 @@ f1(q) = (1-tau1)*H_b(q), f2(q) = log2 - H_b(p2*q) + c12 on [0, 1/2]
 (* is binary convolution, log2 meaning the value of one bit in the base).
 These two are written only in ``becbsc_family``; the closed forms evaluate
 the family's f1 and f2 at the threshold crossover or the entropy inverse.
+``q_threshold`` solves the paper's own threshold equation,
+H_b(p2*q) - (1-tau1)*H_b(q) = C12 + tau1*log2, and is kept as the separate
+route that the bisection of f1 + f2 = C1 is checked against.
 
 A caution on parameter ranges: the family contract additionally needs f1+f2
 strictly increasing, which near q = 1/2 amounts to 1 - tau1 > (1 - 2*p2)**2,
@@ -45,8 +48,7 @@ class BecBscBC:
     p2: float
 
     def __post_init__(self):
-        make_bec(self.tau1)
-        make_bsc(self.p2)
+        self.pair()
 
     def cap1(self, base: LogBase = LogBase.BITS) -> float:
         return (1.0 - self.tau1) * base.one_bit()
@@ -131,9 +133,9 @@ def r2star_closed(
     The entropy inverse reuses the shared bisection so this closed form and
     the parametric route round identically.  Valid up to the threshold rate.
     """
-    r1 = check_r1(r1, r1_th(bc, c12, base, tol))
-    q = binary_entropy_inv(r1 / (1.0 - bc.tau1), base, tol)
-    return becbsc_family(bc, c12, base).f2(q)
+    fam = becbsc_family(bc, c12, base)
+    r1 = check_r1(r1, fam.f1(q_threshold(bc, c12, base, tol)))
+    return fam.f2(binary_entropy_inv(r1 / (1.0 - bc.tau1), base, tol))
 
 
 def mgl_gap(

@@ -7,6 +7,7 @@ base on the way out.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -280,21 +281,21 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> tuple[float, flo
     return x, f(x)
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length `parts` summing to `total`,
-    the first coordinate slowest."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of length `parts` summing to `total`, one
+    per row of an int64 array, the first coordinate slowest: stars and bars,
+    each row's bar positions from ``itertools.combinations`` in its order."""
+    slots, bars = total + parts - 1, parts - 1
+    count = math.comb(slots, bars)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(slots), bars))
+    at = np.fromiter(flat, dtype=np.int64, count=count * bars).reshape(count, bars)
+    return np.diff(at, axis=1, prepend=-1, append=slots) - 1
 
 
 def _simplex_lattice(k: int, steps: int) -> np.ndarray:
     """All probability vectors of length k with coordinates on a grid of 1/steps,
     one per row in the order of ``_compositions``."""
-    return np.array(list(_compositions(steps, k)), dtype=np.float64) / steps
+    return _compositions(steps, k) / steps
 
 
 def is_more_capable(
@@ -321,16 +322,19 @@ def is_more_capable(
         lattice = _simplex_lattice(n_x, 100)
         rng = np.random.default_rng(0)
         pxs = np.vstack([lattice, rng.dirichlet(np.ones(n_x), size=100_000)])
-    gaps = _mi_batch_nats(pxs, t1) - _mi_batch_nats(pxs, t2)
-    k = int(np.argmin(gaps))
-    min_gap = float(gaps[k]) / base.ln_scale
+
+    def gaps(pxs: np.ndarray) -> np.ndarray:
+        return _mi_batch_nats(pxs, t1) - _mi_batch_nats(pxs, t2)
+
+    gap = gaps(pxs)
+    k = int(np.argmin(gap))
+    min_gap = float(gap[k]) / base.ln_scale
     witness_p = pxs[k]
 
     if n_x == 2:
         # polish around the grid minimum; the gap is smooth in P_X(0)
         def gap_at(p: float) -> float:
-            px = np.array([p, 1.0 - p])
-            return float(_mi_batch_nats(px[None, :], t1)[0] - _mi_batch_nats(px[None, :], t2)[0])
+            return float(gaps(np.array([[p, 1.0 - p]]))[0])
 
         h = 1.0 / resolution
         x, fx = _golden_refine(gap_at, max(0.0, p0[k] - h), min(1.0, p0[k] + h))

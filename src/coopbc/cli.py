@@ -207,12 +207,10 @@ def cmd_simulate(args) -> int:
         "c12": _fmt(args.c12),
         "trials": str(args.trials),
         "seed": str(args.seed),
-        "user1_joint_errors": str(report.user1_joint_errors),
-        "user2_errors": str(report.user2_errors),
-        "error_events": str(report.error_events),
-        "p_e_estimate": _fmt(report.p_e_estimate),
-        "p_e_half_width": _fmt(report.p_e_half_width),
     }
+    # then the report's fields in order; trials is already there
+    for name, value in vars(report).items():
+        columns.setdefault(name, _fmt(value) if isinstance(value, float) else str(value))
     row = ",".join(columns.values())
     if row_file.exists():
         with open(row_file, "a", newline="\n") as fh:

@@ -314,11 +314,9 @@ def simulate(
 
     bounds = np.linspace(0, trials, threads + 1).astype(int)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(decode_chunk, slices))
-    else:
-        parts = list(map(decode_chunk, slices))
+    # a pool starts no thread before its first task, so threads=1 decodes here
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list((pool.map if threads > 1 else map)(decode_chunk, slices))
     m1_hat, m2_hat = (np.concatenate(p) for p in zip(*parts))
 
     e1 = m1_hat != m1

@@ -95,5 +95,6 @@ def r2star_closed(
     Valid for r1 up to the threshold rate; beyond it the curve is not a
     proven boundary and the call is rejected.
     """
-    r1 = check_r1(r1, r1_th_closed(bc, c12, base))
-    return gaussian_family(bc, c12, base).f2(gaussian_cap_inv(r1, base) / bc.s1)
+    fam = gaussian_family(bc, c12, base)
+    r1 = check_r1(r1, fam.f1(alpha_th_closed(bc, c12, base)))
+    return fam.f2(gaussian_cap_inv(r1, base) / bc.s1)

@@ -126,21 +126,18 @@ def binary_entropy_inv(
 
     Accepts h up to 1e-9 outside [0, log 2] to absorb floating dust from
     upstream entropy arithmetic; anything further out is a domain error.
-    ``h`` is a float or an ndarray; either goes to one ``bisect_monotone``
-    call.
+    ``h`` is a float or an ndarray; either is checked and clamped as an
+    array and goes to one ``bisect_monotone`` call.
     """
     top = base.one_bit()
-    if type(h) is not float and isinstance(h, np.ndarray):
-        bad = ~((h >= -1e-9) & (h <= top + 1e-9))  # NaN is bad too
-        if bad.any():
-            raise ValueError(f"entropy value must lie in [0, {top}], got {h[bad].flat[0]}")
-        h = np.clip(h, 0.0, top)
-    else:
-        if h < -1e-9 or h > top + 1e-9:
-            raise ValueError(f"entropy value must lie in [0, {top}], got {h}")
-        h = min(max(h, 0.0), top)
+    values = np.asarray(h)
+    bad = ~((values >= -1e-9) & (values <= top + 1e-9))  # NaN is bad too
+    if bad.any():
+        raise ValueError(
+            f"entropy value must lie in [0, {top}] and not be NaN, got {values[bad].flat[0]}"
+        )
     return bisect_monotone(
-        lambda q: binary_entropy(q, base), 0.0, 0.5, h, "increasing", tol
+        lambda q: binary_entropy(q, base), 0.0, 0.5, np.clip(h, 0.0, top), "increasing", tol
     )
 
 

@@ -115,7 +115,7 @@ def _canonical_tuples(n_rows: int, m: int) -> np.ndarray:
     flat = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(n_rows), m)
     )
-    count = math.comb(n_rows + m - 1, m) * m
+    count = composition_count(m, n_rows) * m
     return np.fromiter(flat, dtype=np.intp, count=count).reshape(-1, m)
 
 
@@ -210,7 +210,7 @@ def oracle_both(
     # a one-point U has the single cloud law (1); a finer P_U grid would only
     # scale every P_X numerator, and the lattice, by steps
     u_steps = spec.steps if m > 1 else 1
-    row_grid = np.array(list(_compositions(spec.steps, pair.input_size)), dtype=np.int64)
+    row_grid = _compositions(spec.steps, pair.input_size)
     lattice = _Lattice(spec.steps * u_steps, pair.ch1.transitions, pair.ch2.transitions)
     rows_mi1, rows_h2 = lattice(row_grid[:, :-1] * u_steps)
     tuples = _canonical_tuples(row_grid.shape[0], m)
@@ -232,7 +232,7 @@ def oracle_both(
         return inner_r1[ki], inner_r2[ki], a[ko], b[ko]
 
     inner, outer = _Fold(), _Fold()
-    comps = np.array(list(_compositions(u_steps, m)), dtype=np.int64)
+    comps = _compositions(u_steps, m)
     # a pool starts no thread before its first task, so threads=1 scans in this
     # one; it must, since a tracer that keeps one span stack sees worker-thread
     # spans close out of order
@@ -261,8 +261,6 @@ def frontier_deviation(a: RateRegionBoundary, b: RateRegionBoundary) -> float:
     beyond their endpoints; the maximum of |r2_a - r2_b| is taken over the
     union of both r1 sample sets.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("cannot compare an empty frontier")
     grid = np.union1d(a.r1, b.r1)
     return float(np.max(np.abs(a.interp_r2(grid) - b.interp_r2(grid))))
 

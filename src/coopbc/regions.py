@@ -296,20 +296,35 @@ def sweep_thresholds(
 
     Returns rows (c12, alpha_th, r1_th).  Both thresholds must be strictly
     decreasing along an increasing grid; a violation raises
-    MonotonicityError since it signals a broken family, not bad input.
+    MonotonicityError since it signals a broken family, not bad input.  The
+    exception is two neighbouring rates that the families admit as
+    different values but whose threshold parameters lie within the
+    bisection width ``tol.abs_tol`` of each other: the grid asks for a
+    resolution the solver does not have, which is a ValueError.
     """
     c12s = [float(c12) for c12 in c12_grid]
     if any(b <= a for a, b in zip(c12s, c12s[1:])):
         raise ValueError("c12 grid must be strictly increasing")
-    rows = []
+    rows, admitted = [], []
     for c12 in c12s:
         fam = fam_factory(c12)
         a_th = threshold_alpha(fam, tol)
         rows.append((c12, a_th, fam.f1(a_th)))
+        admitted.append(fam.c12)
+    ties = []
     for col, name in ((1, "alpha_th"), (2, "r1_th")):
-        vals = [r[col] for r in rows]
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise MonotonicityError(f"{name} is not strictly decreasing along the c12 grid")
+        for i, (a, b) in enumerate(zip(rows, rows[1:])):
+            if b[col] < a[col]:
+                continue
+            if abs(b[1] - a[1]) > tol.abs_tol or admitted[i] == admitted[i + 1]:
+                raise MonotonicityError(f"{name} is not strictly decreasing along the c12 grid")
+            ties.append(i)
+    if ties:
+        i = min(ties)
+        raise ValueError(
+            f"the thresholds at c12 = {rows[i][0]} and c12 = {rows[i + 1][0]} tie within "
+            f"the bisection width {tol.abs_tol}: the grid is finer than the solver resolves"
+        )
     return rows
 
 

@@ -17,7 +17,13 @@ from coopbc.channel import (
     make_bsc,
     mutual_information,
 )
-from coopbc.numerics import LogBase, binary_convolution, binary_entropy
+from coopbc.numerics import (
+    IterationLimitError,
+    LogBase,
+    Tolerance,
+    binary_convolution,
+    binary_entropy,
+)
 
 UNIFORM2 = np.array([0.5, 0.5])
 
@@ -180,6 +186,11 @@ class TestCapacity:
             px = rng.dirichlet(np.ones(3))
             assert cap >= mutual_information(px, ch) - 1e-9
 
+    def test_iteration_limit(self):
+        z = DiscreteChannel(np.array([[1.0, 0.0], [0.4, 0.6]]))
+        with pytest.raises(IterationLimitError, match="did not reach 1e-10 in 1 passes"):
+            capacity(z, Tolerance(abs_tol=1e-10, max_iters=1))
+
 
 class TestMoreCapable:
     def test_bec_bsc_holds(self):
@@ -209,8 +220,43 @@ class TestMoreCapable:
         assert is_more_capable(ChannelPair(strong, weak)).holds
         assert not is_more_capable(ChannelPair(weak, strong)).holds
 
+    def test_polish_beats_the_grid(self):
+        # Z channel against BSC(0.1): the gap's minimum falls between grid points
+        z = DiscreteChannel(np.array([[1.0, 0.0], [0.4, 0.6]]))
+        verdict = is_more_capable(ChannelPair(z, make_bsc(0.1)))
+        p = np.linspace(0.0, 1.0, 10_001)
+        grid = (binary_entropy(0.4 + 0.6 * p) - (1.0 - p) * binary_entropy(0.4)) - (
+            binary_entropy(binary_convolution(p, 0.1)) - binary_entropy(0.1)
+        )
+        assert not verdict.holds
+        assert verdict.min_gap == pytest.approx(-0.15546494731794644, abs=1e-15)
+        assert verdict.min_gap < grid.min() - 1e-9
+        w = verdict.witness
+        assert w.probs[0] == pytest.approx(0.33935, abs=1e-5)
+        gap = mutual_information(w, z) - mutual_information(w, make_bsc(0.1))
+        assert gap == pytest.approx(verdict.min_gap, abs=1e-12)
+
+
+def recursive_compositions(total, parts):
+    """The recursive generator that ``_compositions`` replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
 
 class TestSimplexLattice:
+    @pytest.mark.parametrize("total, parts", [
+        (200, 2), (16, 3), (30, 3), (12, 4), (5, 1), (0, 3), (100, 3),
+    ])
+    def test_compositions_in_the_recursive_order(self, total, parts):
+        got = _compositions(total, parts)
+        want = np.array(list(recursive_compositions(total, parts)), dtype=np.int64)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_rows_are_the_compositions_over_steps(self, k):
         # the per-composition division the oracle used to build its grids
@@ -273,3 +319,7 @@ class TestAuxiliaryJoint:
             AuxiliaryJoint(np.array([0.5, 0.6]), np.eye(2))
         with pytest.raises(ValueError):
             AuxiliaryJoint(np.array([0.5, 0.5]), np.array([[0.9, 0.2], [0.4, 0.6]]))
+
+    def test_one_row_per_value_of_u(self):
+        with pytest.raises(ValueError, match="one row per value of U"):
+            AuxiliaryJoint(np.array([0.5, 0.5]), np.array([[0.9, 0.1]]))

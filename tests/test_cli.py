@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coopbc import oracle, regions
-from coopbc.becbsc import BecBscBC
+from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.channel import AuxiliaryJoint, make_bec, make_bsc
 from coopbc.cli import build_parser, main
 from coopbc.numerics import LogBase
@@ -185,6 +185,29 @@ class TestSweep:
         vals = [float(v) for v in row.split(",")]
         assert vals[1] == pytest.approx(0.5, abs=1e-6)
         assert vals[2] == pytest.approx(0.9, abs=1e-6)
+
+    # valid neighbouring rates whose thresholds tie within the bisection width
+    @pytest.mark.parametrize("family, params, grid", [
+        ("becbsc", (0.1, 0.2), "0,1e-12"),
+        ("becbsc", (0.1, 0.2), "0.1,0.1000000000001"),
+        ("gaussian", (5, 0.5), "0.1,0.1000000000001"),
+    ])
+    def test_unresolved_grid_is_invalid_input(self, tmp_path, capsys, family, params, grid):
+        argv = ["sweep", family, *params, "--c12", grid, "--out", tmp_path]
+        err = assert_clean_exit_2(argv, capsys)
+        a, b = (float(v) for v in grid.split(","))
+        assert f"c12 = {a} and c12 = {b} tie within the bisection width 1e-10" in err
+        assert not (tmp_path / "thresholds.csv").exists()
+
+    def test_broken_family_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # every rate builds the same family, so the thresholds do not fall
+        monkeypatch.setattr(BecBscBC, "family", lambda bc, c12, base: becbsc_family(bc, 0.1, base))
+        code = run(["sweep", "becbsc", 0.1, 0.2, "--points", 3, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("check failed: alpha_th is not strictly decreasing")
+        assert "Traceback" not in err
+        assert not (tmp_path / "thresholds.csv").exists()
 
 
     @pytest.mark.parametrize("points", [0, -3])

@@ -58,6 +58,26 @@ class TestCodeConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             CodeConfig(n=8, r1=0.1, r2=0.1, c12=0.1, seed=-1, input_law=UNIFORM_LAW)
 
+    @pytest.mark.parametrize("field, message", [
+        ("n", "blocklength must be >= 1, got 0"),
+        ("codeword_budget", "codeword budget must be >= 1, got 0"),
+    ])
+    def test_sizes_below_one_rejected(self, field, message):
+        args = dict(n=8, r1=0.1, r2=0.1, c12=0.1, seed=0, input_law=UNIFORM_LAW)
+        args[field] = 0
+        with pytest.raises(ValueError, match=message):
+            CodeConfig(**args)
+
+    @pytest.mark.parametrize("split", [-0.1, 1.5, math.nan])
+    def test_power_split_outside_the_unit_interval(self, split):
+        with pytest.raises(ValueError, match="power split must lie in"):
+            CodeConfig(n=8, r1=0.1, r2=0.1, c12=0.1, seed=0, power_split=split)
+
+    def test_exact_count_over_budget(self):
+        # 2**(1*(0.5+0.5)) = 2 passes the exponent check; the counts round up to 2*2
+        with pytest.raises(BudgetExceededError, match=r"2\*2 codewords exceeds the budget of 2"):
+            CodeConfig(n=1, r1=0.5, r2=0.5, c12=0, seed=0, power_split=0.5, codeword_budget=2)
+
     def test_exactly_one_law(self):
         with pytest.raises(ValueError):
             CodeConfig(n=4, r1=0.1, r2=0.1, c12=0.0, seed=0)
@@ -316,6 +336,17 @@ class TestSimulate:
         serial = simulate(cfg, BecBscBC(0.1, 0.2), 1200)
         threaded = simulate(cfg, BecBscBC(0.1, 0.2), 1200, threads=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("law, channels, message", [
+        (AuxiliaryJoint([1.0], [[0.2, 0.3, 0.5]]), BecBscBC(0.1, 0.2), "binary input alphabet"),
+        (UNIFORM_LAW, GaussianBC(5.0, 0.5), "require a power-split input law"),
+        (None, "bsc", "unsupported channel family"),
+    ])
+    def test_input_law_must_fit_the_family(self, law, channels, message):
+        cfg = CodeConfig(n=4, r1=0.25, r2=0.25, c12=0.25, seed=0, input_law=law,
+                         power_split=None if law else 0.5)
+        with pytest.raises(ValueError, match=message):
+            simulate(cfg, channels, 5)
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):

@@ -83,6 +83,11 @@ class TestBinaryEntropyInv:
         with pytest.raises(ValueError, match="NaN"):
             binary_entropy_inv(math.nan)
 
+    def test_float_stays_float(self):
+        # the range check and the clamp run on an array; a float comes back a float
+        for h in (-1e-10, 0.0, 0.5, 1.0, 1.0 + 1e-10):
+            assert type(binary_entropy_inv(h)) is float
+
 
 class TestBinaryConvolution:
     def test_identity_element(self):
@@ -183,6 +188,11 @@ class TestBisectMonotone:
     def test_identity(self):
         x = bisect_monotone(lambda v: v, 0.0, 1.0, 0.3)
         assert x == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+    def test_empty_bracket_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            bisect_monotone(lambda v: v, lo, hi, 0.5)
 
     def test_matches_entropy_inverse(self):
         x = bisect_monotone(binary_entropy, 0.0, 0.5, 0.7219280948873623)

@@ -68,6 +68,18 @@ class TestFamilyValidation:
             ParametricFamily(b=1.0, f1=lambda a: a, f2=lambda a: 0.2 + 0.4 * a,
                              c1=1.0, c2=-0.4, c12=0.2)
 
+    def test_flat_f2_rejected(self):
+        # right endpoints and a rising sum, but f2 stalls at c12 past a = 1/2
+        with pytest.raises(ValueError, match="f2 is not strictly decreasing"):
+            ParametricFamily(b=1.0, f1=lambda a: a,
+                             f2=lambda a: 0.6 - 0.4 * np.minimum(2.0 * a, 1.0),
+                             c1=1.0, c2=0.4, c12=0.2)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_nonpositive_endpoint_rejected(self, b):
+        with pytest.raises(ValueError, match="endpoint b must be positive"):
+            linear_family(b=b)
+
     def test_negative_c12_rejected(self):
         with pytest.raises(ValueError, match="cooperation"):
             linear_family(c12=-0.1)
@@ -309,6 +321,17 @@ class TestSweep:
         # same family for every c12 makes the thresholds constant, not decreasing
         with pytest.raises(MonotonicityError):
             sweep_thresholds(lambda c: gaussian_family(BC, 0.5), [0.4, 0.5])
+
+    def test_unresolved_neighbours_are_invalid_input(self):
+        # two admitted rates whose thresholds the bisection cannot order
+        with pytest.raises(ValueError, match=r"c12 = 0\.1 and c12 = 0\.1000000000001 tie "
+                                             r"within the bisection width 1e-10"):
+            sweep_thresholds(lambda c: gaussian_family(BC, c), [0.0, 0.1, 0.1000000000001])
+
+    def test_rise_beyond_the_width_is_a_broken_family(self):
+        # the factory runs the rate backwards, so the threshold rises by far more than tol
+        with pytest.raises(MonotonicityError, match="alpha_th"):
+            sweep_thresholds(lambda c: gaussian_family(BC, 0.5 - c), [0.1, 0.2])
 
 
 def ref_pareto_filter(r1, r2):
@@ -568,6 +591,19 @@ class TestRateRegionBoundary:
         with pytest.raises(ValueError, match="must be finite"):
             RateRegionBoundary(np.array(r1), np.array(r2), np.full(len(r1), math.nan),
                                np.full(len(r1), SEGMENT_PROVEN))
+
+    @pytest.mark.parametrize("r1, r2", [([], []), ([0.1, 0.2], [0.3]), ([[0.1]], [[0.3]])])
+    def test_rejects_bad_shapes(self, r1, r2):
+        with pytest.raises(ValueError, match="equal-length nonempty vectors"):
+            RateRegionBoundary(np.array(r1), np.array(r2), np.empty(0), np.empty(0))
+
+    @pytest.mark.parametrize("field", ["alpha", "segment"])
+    def test_rejects_labels_that_do_not_parallel_the_rates(self, field):
+        parts = dict(r1=np.array([0.1, 0.2]), r2=np.array([0.3, 0.1]),
+                     alpha=np.array([0.0, 1.0]), segment=np.array([SEGMENT_PROVEN] * 2))
+        parts[field] = parts[field][:1]
+        with pytest.raises(ValueError, match="parallel the rate arrays"):
+            RateRegionBoundary(**parts)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
