@@ -281,12 +281,17 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 80) -> tuple[float, flo
     return x, f(x)
 
 
+def composition_count(total: int, parts: int) -> int:
+    """How many nonnegative integer vectors of length `parts` sum to `total`."""
+    return math.comb(total + parts - 1, parts - 1)
+
+
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of length `parts` summing to `total`, one
     per row of an int64 array, the first coordinate slowest: stars and bars,
     each row's bar positions from ``itertools.combinations`` in its order."""
     slots, bars = total + parts - 1, parts - 1
-    count = math.comb(slots, bars)
+    count = composition_count(total, parts)
     flat = itertools.chain.from_iterable(itertools.combinations(range(slots), bars))
     at = np.fromiter(flat, dtype=np.int64, count=count * bars).reshape(count, bars)
     return np.diff(at, axis=1, prepend=-1, append=slots) - 1

@@ -48,12 +48,9 @@ FIGURES = {
 
 def _emit_boundary(path: Path, boundary, fmt: str) -> Path:
     # append rather than with_suffix: stem may contain dots (c12 values)
-    if fmt == "json":
-        path = path.parent / (path.name + ".json")
-        _write(path, regions.boundary_to_json(boundary))
-    else:
-        path = path.parent / (path.name + ".csv")
-        _write(path, regions.boundary_to_csv(boundary))
+    path = path.parent / f"{path.name}.{fmt}"
+    to_text = regions.boundary_to_json if fmt == "json" else regions.boundary_to_csv
+    _write(path, to_text(boundary))
     return path
 
 
@@ -132,37 +129,32 @@ def cmd_oracle_compare(args) -> int:
     spec = oracle.GridSpec(steps=args.steps, u_cardinality=args.u_size)
     fam = bc.family(args.c12, base)
     t0 = time.perf_counter()
-    grid_inner, grid_outer = oracle.oracle_both(pair, fam.c12, spec, base, threads=args.threads)
+    found = oracle.oracle_both(pair, fam.c12, spec, base, threads=args.threads)
     runtime = time.perf_counter() - t0
-    param_inner = regions.inner_boundary(fam, args.grid)
-    param_outer = regions.outer_boundary(fam, args.grid)
-    dev_inner = oracle.frontier_deviation(grid_inner, param_inner)
-    dev_outer = oracle.frontier_deviation(grid_outer, param_outer)
-    dom_inner = oracle.frontier_dominance(grid_inner, param_inner)
-    dom_outer = oracle.frontier_dominance(grid_outer, param_outer)
+    # every frontier and distance is computed before the first file is written
+    frontiers, dev, dom = {}, {}, {}
+    for side, grid_front in zip(("inner", "outer"), found):
+        param = getattr(regions, f"{side}_boundary")(fam, args.grid)
+        frontiers[f"oracle_{side}"], frontiers[f"parametric_{side}"] = grid_front, param
+        dev[side] = oracle.frontier_deviation(grid_front, param)
+        dom[side] = oracle.frontier_dominance(grid_front, param)
     out = Path(args.out)
-    for name, boundary in (
-        ("oracle_inner", grid_inner),
-        ("oracle_outer", grid_outer),
-        ("parametric_inner", param_inner),
-        ("parametric_outer", param_outer),
-    ):
+    for name, boundary in frontiers.items():
         _emit_boundary(out / name, boundary, args.format)
     meta = {
         "u_cardinality": spec.u_cardinality,
         "steps": spec.steps,
         "evaluations": oracle.evaluation_count(pair, spec),
         "runtime_seconds": round(runtime, 3),
-        "inner_deviation": dev_inner,
-        "outer_deviation": dev_outer,
-        "inner_dominance": dom_inner,
-        "outer_dominance": dom_outer,
+        **{f"{side}_deviation": d for side, d in dev.items()},
+        **{f"{side}_dominance": d for side, d in dom.items()},
     }
     _write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
-    for side, dev, dom in (("inner", dev_inner, dom_inner), ("outer", dev_outer, dom_outer)):
-        print(f"{side} deviation = {_fmt(dev)} {args.base}, dominance = {_fmt(dom)} {args.base}")
+    for side in dev:
+        print(f"{side} deviation = {_fmt(dev[side])} {args.base}, "
+              f"dominance = {_fmt(dom[side])} {args.base}")
     print(f"wrote frontiers and meta.json under {out}")
-    if max(dev_inner, dev_outer) > args.budget:
+    if max(dev.values()) > args.budget:
         print(f"FAIL: deviation exceeds budget {_fmt(args.budget)}")
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -211,12 +203,9 @@ def cmd_simulate(args) -> int:
     # then the report's fields in order; trials is already there
     for name, value in vars(report).items():
         columns.setdefault(name, _fmt(value) if isinstance(value, float) else str(value))
-    row = ",".join(columns.values())
-    if row_file.exists():
-        with open(row_file, "a", newline="\n") as fh:
-            fh.write(row + "\n")
-    else:
-        _write(row_file, ",".join(columns) + "\n" + row + "\n")
+    header = "" if row_file.exists() else ",".join(columns) + "\n"
+    with open(row_file, "a", newline="\n") as fh:
+        fh.write(header + ",".join(columns.values()) + "\n")
     print(report.to_json())
     print(f"wrote {out / 'report.json'} and appended to {row_file}")
     return EXIT_OK

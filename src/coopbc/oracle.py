@@ -34,6 +34,7 @@ from .channel import (
     _mi_batch_nats,
     _xlogx,
     capacity,
+    composition_count,
 )
 from .numerics import BudgetExceededError, LogBase
 from .regions import (
@@ -67,10 +68,6 @@ class GridSpec:
             raise ValueError(f"u_cardinality must be >= 1, got {self.u_cardinality}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-
-
-def composition_count(total: int, parts: int) -> int:
-    return math.comb(total + parts - 1, parts - 1)
 
 
 def evaluation_count(pair: ChannelPair, spec: GridSpec) -> int:

@@ -58,9 +58,7 @@ class ParametricFamily:
             raise ValueError(f"parameter endpoint b must be positive, got {self.b}")
         if self.c12 < 0:
             raise ValueError(f"cooperation rate must be nonnegative, got {self.c12}")
-        grid = np.linspace(0.0, self.b, _VALIDATION_POINTS + 1)
-        v1 = _on_grid(self.f1, grid)
-        v2 = _on_grid(self.f2, grid)
+        _, v1, v2 = _sample(self, _VALIDATION_POINTS + 1)
         for name, v in (("f1", v1), ("f2", v2)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} is not finite on the validation grid")
@@ -84,9 +82,15 @@ class ParametricFamily:
             )
 
 
-def _on_grid(f: Callable, grid: np.ndarray) -> np.ndarray:
-    """f over the whole grid in one call; a constant result is broadcast to the grid."""
-    return np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
+def _sample(fam: ParametricFamily, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, f1, f2) on ``points`` parameters evenly spaced over [0, b], each
+    evaluator called once on the whole grid; a constant result is broadcast."""
+    grid = np.linspace(0.0, fam.b, points)
+    f1s, f2s = (
+        np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
+        for f in (fam.f1, fam.f2)
+    )
+    return grid, f1s, f2s
 
 
 def check_c12(bc, c12: float, base: LogBase) -> tuple[float, float, float]:
@@ -142,18 +146,13 @@ class RateRegionBoundary:
             raise ValueError("frontier r1 values must be strictly increasing")
         if np.any(np.diff(r2) > 0):
             raise ValueError("frontier r2 values must be nonincreasing")
-        for arr in (r1, r2):
-            arr.flags.writeable = False
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
         alpha = np.asarray(self.alpha, dtype=np.float64)
         segment = np.asarray(self.segment)
         if alpha.shape != r1.shape or segment.shape != r1.shape:
             raise ValueError("alpha and segment must parallel the rate arrays")
-        alpha.flags.writeable = False
-        segment.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "segment", segment)
+        for name, arr in (("r1", r1), ("r2", r2), ("alpha", alpha), ("segment", segment)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.r1.size
@@ -238,9 +237,7 @@ def boundary_r2star(fam: ParametricFamily, r1: float, tol: Tolerance = DEFAULT_T
 def _corner_sweep(fam: ParametricFamily, grid_size: int, sum_cut: bool) -> RateRegionBoundary:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    alphas = np.linspace(0.0, fam.b, grid_size)
-    f1s = _on_grid(fam.f1, alphas)
-    f2s = _on_grid(fam.f2, alphas)
+    alphas, f1s, f2s = _sample(fam, grid_size)
     r2s = np.minimum(f2s, fam.c1 - f1s) if sum_cut else f2s
     proven = f1s + f2s <= fam.c1 + _STRICT_SLACK
     keep = pareto_filter(f1s, r2s)
@@ -278,8 +275,8 @@ def coincidence_check(
     grid parameter past the threshold where the cut strictly bites.
     """
     a_th = threshold_alpha(fam, tol)
-    alphas = np.linspace(0.0, fam.b, grid_size)
-    sums = _on_grid(fam.f1, alphas) + _on_grid(fam.f2, alphas)
+    alphas, f1s, f2s = _sample(fam, grid_size)
+    sums = f1s + f2s
     below = alphas <= a_th
     max_violation = float(np.max(sums[below] - fam.c1, initial=0.0))
     above = (alphas > a_th) & (sums > fam.c1 + tol.abs_tol)
@@ -300,17 +297,27 @@ def sweep_thresholds(
     exception is two neighbouring rates that the families admit as
     different values but whose threshold parameters lie within the
     bisection width ``tol.abs_tol`` of each other: the grid asks for a
-    resolution the solver does not have, which is a ValueError.
+    resolution the solver does not have, which is a ValueError.  So are two
+    neighbouring rates that both snap to one admitted value lying within
+    1e-9 of each request; this is checked on every family before any
+    threshold is solved.
     """
     c12s = [float(c12) for c12 in c12_grid]
     if any(b <= a for a, b in zip(c12s, c12s[1:])):
         raise ValueError("c12 grid must be strictly increasing")
-    rows, admitted = [], []
-    for c12 in c12s:
-        fam = fam_factory(c12)
+    families = [fam_factory(c12) for c12 in c12s]
+    admitted = [fam.c12 for fam in families]
+    pairs = list(zip(c12s, admitted))
+    for (a, got_a), (b, got_b) in zip(pairs, pairs[1:]):
+        if got_a == got_b and max(abs(got_a - a), abs(got_b - b)) <= _ENDPOINT_TOL:
+            raise ValueError(
+                f"c12 = {a} and c12 = {b} are both admitted as c12 = {got_a}: "
+                f"the grid asks for two rates where the family has one"
+            )
+    rows = []
+    for c12, fam in zip(c12s, families):
         a_th = threshold_alpha(fam, tol)
         rows.append((c12, a_th, fam.f1(a_th)))
-        admitted.append(fam.c12)
     ties = []
     for col, name in ((1, "alpha_th"), (2, "r1_th")):
         for i, (a, b) in enumerate(zip(rows, rows[1:])):

@@ -199,6 +199,21 @@ class TestSweep:
         assert f"c12 = {a} and c12 = {b} tie within the bisection width 1e-10" in err
         assert not (tmp_path / "thresholds.csv").exists()
 
+    # neighbouring rates within 1e-9 of one range end, so both snap to it
+    @pytest.mark.parametrize("family, params, grid, admitted", [
+        ("gaussian", (5, 0.5), "-5e-10,-1e-10", 0.0),
+        ("gaussian", (5, 0.5), "-5e-10,0", 0.0),
+        ("gaussian", (5, 0.5), "1.0000000001,1.0000000005", 1.0),
+        ("becbsc", (0.1, 0.2), "-5e-10,-1e-10", 0.0),
+    ])
+    def test_rates_admitted_as_one_are_invalid_input(self, tmp_path, capsys, family, params,
+                                                     grid, admitted):
+        argv = ["sweep", family, *params, f"--c12={grid}", "--out", tmp_path]
+        err = assert_clean_exit_2(argv, capsys)
+        a, b = (float(v) for v in grid.split(","))
+        assert f"c12 = {a} and c12 = {b} are both admitted as c12 = {admitted}" in err
+        assert not (tmp_path / "thresholds.csv").exists()
+
     def test_broken_family_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
         # every rate builds the same family, so the thresholds do not fall
         monkeypatch.setattr(BecBscBC, "family", lambda bc, c12, base: becbsc_family(bc, 0.1, base))
@@ -250,6 +265,19 @@ class TestOracleCompare:
             assert dev == oracle.frontier_deviation(grid, param) <= 0.5
             assert dom == oracle.frontier_dominance(grid, param) >= 0
             assert f"{side} deviation = {_fmt(dev)} bits, dominance = {_fmt(dom)} bits" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_meta_key_order_and_frontier_files(self, tmp_path, capsys, fmt):
+        code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 8,
+                    "--grid", 101, "--budget", 1, "--format", fmt, "--out", tmp_path])
+        assert code == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert list(meta) == ["u_cardinality", "steps", "evaluations", "runtime_seconds",
+                              "inner_deviation", "outer_deviation",
+                              "inner_dominance", "outer_dominance"]
+        frontiers = [f"{kind}_{side}.{fmt}" for kind in ("oracle", "parametric")
+                     for side in ("inner", "outer")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*frontiers, "meta.json"])
 
     def test_budget_failure_exit(self, tmp_path):
         code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,

@@ -328,6 +328,20 @@ class TestSweep:
                                              r"within the bisection width 1e-10"):
             sweep_thresholds(lambda c: gaussian_family(BC, c), [0.0, 0.1, 0.1000000000001])
 
+    @pytest.mark.parametrize("grid, a, b, admitted", [
+        ([-5e-10, -1e-10, 0.5], "-5e-10", "-1e-10", "0.0"),
+        ([0.0, 0.5, 1.0000000001, 1.0000000005], "1.0000000001", "1.0000000005", str(C1 - C2)),
+    ])
+    def test_rates_admitted_as_one_are_invalid_input(self, monkeypatch, grid, a, b, admitted):
+        # both requests lie within 1e-9 of the range end they snap to; the pair is
+        # found from the families alone, before any threshold is solved
+        solved = []
+        monkeypatch.setattr("coopbc.regions.threshold_alpha", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match=re.escape(
+                f"c12 = {a} and c12 = {b} are both admitted as c12 = {admitted}")):
+            sweep_thresholds(lambda c: gaussian_family(BC, c), grid)
+        assert solved == []
+
     def test_rise_beyond_the_width_is_a_broken_family(self):
         # the factory runs the rate backwards, so the threshold rises by far more than tol
         with pytest.raises(MonotonicityError, match="alpha_th"):
