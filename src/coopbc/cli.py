@@ -132,29 +132,29 @@ def cmd_oracle_compare(args) -> int:
     found = oracle.oracle_both(pair, fam.c12, spec, base, threads=args.threads)
     runtime = time.perf_counter() - t0
     # every frontier and distance is computed before the first file is written
-    frontiers, dev, dom = {}, {}, {}
-    for side, grid_front in zip(("inner", "outer"), found):
-        param = getattr(regions, f"{side}_boundary")(fam, args.grid)
-        frontiers[f"oracle_{side}"], frontiers[f"parametric_{side}"] = grid_front, param
-        dev[side] = oracle.frontier_deviation(grid_front, param)
-        dom[side] = oracle.frontier_dominance(grid_front, param)
+    params = [sweep(fam, args.grid) for sweep in (regions.inner_boundary, regions.outer_boundary)]
+    dev = [oracle.frontier_deviation(g, p) for g, p in zip(found, params)]
+    dom = [oracle.frontier_dominance(g, p) for g, p in zip(found, params)]
+    sides = ("inner", "outer")
     out = Path(args.out)
-    for name, boundary in frontiers.items():
-        _emit_boundary(out / name, boundary, args.format)
+    for side, grid_front, param in zip(sides, found, params):
+        _emit_boundary(out / f"oracle_{side}", grid_front, args.format)
+        _emit_boundary(out / f"parametric_{side}", param, args.format)
     meta = {
         "u_cardinality": spec.u_cardinality,
         "steps": spec.steps,
         "evaluations": oracle.evaluation_count(pair, spec),
         "runtime_seconds": round(runtime, 3),
-        **{f"{side}_deviation": d for side, d in dev.items()},
-        **{f"{side}_dominance": d for side, d in dom.items()},
+        "inner_deviation": dev[0],
+        "outer_deviation": dev[1],
+        "inner_dominance": dom[0],
+        "outer_dominance": dom[1],
     }
     _write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
-    for side in dev:
-        print(f"{side} deviation = {_fmt(dev[side])} {args.base}, "
-              f"dominance = {_fmt(dom[side])} {args.base}")
+    for side, d, m in zip(sides, dev, dom):
+        print(f"{side} deviation = {_fmt(d)} {args.base}, dominance = {_fmt(m)} {args.base}")
     print(f"wrote frontiers and meta.json under {out}")
-    if max(dev.values()) > args.budget:
+    if max(dev) > args.budget:
         print(f"FAIL: deviation exceeds budget {_fmt(args.budget)}")
         return EXIT_CHECK_FAILED
     return EXIT_OK
