@@ -3,12 +3,15 @@
 Every decision is the first minimum of a cost sum (mismatches, squared
 distances or negated log-scores), taken by one loop, ``_first_min``, over
 tiles of a chunk of trials x a block of candidate positions.  A kernel only
-scores its tiles, with the arithmetic of a per-trial loop: integer scores are
-exact, and floating scores add the same per-element terms symbol by symbol.
-Blocks merge in position order by a strict "lower than" and every pick starts
-at position 0, so ties keep the first index and a row of all +inf keeps
-position 0.  Decisions do not depend on the chunk or block size, on the
-number of BLAS threads, or on how the caller splits trials.
+scores its tiles, and every cost that can decide is that of a per-trial loop:
+integer scores are exact, and floating scores add the same per-element terms
+symbol by symbol.  decode_sq filters first: an expanded-form GEMM score with
+a proven rounding bound rules positions out, only the positions within that
+bound of each trial's least score are scored exactly, and the rest cost
++inf.  Blocks merge in position order by a strict "lower than" and every
+pick starts at position 0, so ties keep the first index and a row of all
++inf keeps position 0.  Decisions do not depend on the chunk or block size,
+on the number of BLAS threads, or on how the caller splits trials.
 
 Kernels:
   * decode_map_int   - fewest mismatches on unerased positions (erasure channels)
@@ -34,6 +37,9 @@ ERASURE = 2
 
 # Candidate positions per tile.
 _CW_BLOCK = 4096
+
+# Largest |y|^2 and |s*c|^2 that decode_sq scores by its expanded-form filter.
+_FILTER_LIMIT = 2.0**999
 
 
 def _first_min(trials: int, n_cand: int, tile) -> np.ndarray:
@@ -77,25 +83,91 @@ def decode_map_int(codebook, ys):
     return _first_min(ys.shape[0], n_cw, lambda sl, b, e: weights[sl] @ bits[:, b:e])
 
 
+def _sq_dist(y, sc):
+    """Squared distances sum_i (y[i] - sc[i])**2 over the first axis, the rest
+    broadcast: d = y_i - sc_i and d*d for every symbol, then acc += d*d in
+    symbol order, exactly as a per-trial loop would."""
+    d = np.subtract(y, sc)
+    d *= d
+    acc = np.zeros(d.shape[1:])
+    for d_i in d:
+        acc += d_i
+    return acc
+
+
 def decode_sq(codebook, scale, ys):
     """First-minimum squared-distance codeword per trial: sum_i (y_i - scale*c_i)^2.
 
-    Each element is formed as d = y_i - scale*c_i, then acc += d*d, symbol by
-    symbol, exactly as a per-trial loop would; no expansion of |y - c|^2.
+    Every decision is that of the per-element scores S = _sq_dist(y, sc) of
+    the codewords sc = scale*c.  A tile of trials x positions computes S only
+    where it can be least:
+
+    * Filter.  A = |sc|^2 - 2 y.sc, in exact arithmetic S - |y|^2, is one
+      GEMM of the rows [-2y, 1] (a power-of-two scaling, so exact) against
+      the block's columns [sc; N], where N = |sc|^2 is computed once per call.
+    * Verify.  Positions with A <= min A + 2 E get their S, with trial t's
+      slack E >= |A - (S - |y|^2)|; every other position costs +inf.  Let j
+      attain the tile's least S and k its least A.  Then
+      A_j <= S_j - |y|^2 + E <= S_k - |y|^2 + E <= A_k + 2 E, and rounding is
+      monotone, so j passes the computed bar too.  Every position with the
+      least S is scored, and the tile's first minimum and least cost, and so
+      every decision, are those of scoring every position.
+
+    The slack (Higham, Accuracy and Stability of Numerical Algorithms,
+    sections 2.1-3.1).  Let u = 2**-53, g(k) = k u / (1 - k u), and
+    h = 2**-1075, the largest error of a product that underflows; a sum that
+    underflows is exact.  A sum of k products in any order, with or without
+    FMA, is within g(k) sum|products| + k h (1 + g(k)) of its value.  Over the
+    stored sc, with S* = sum (y_i - sc_i)^2 and P = |sc|^2 + 2 sum|y_i sc_i|:
+
+    * |S - S*| <= g(n+2) S* + n h (1 + g(n)): d enters squared, d*d is
+      rounded once, and n terms take n - 1 additions;
+    * |N - |sc|^2| <= g(n) |sc|^2 + n h (1 + g(n)), and A sums n + 1
+      products, the last 1*N, so |A - (S* - |y|^2)| <= g(2n+1) P +
+      3 n h (1 + g(2n+1)), by g(n+1) (1 + g(n)) + g(n) <= g(2n+1).
+
+    S* and P are at most sum (|y_i| + |sc_i|)^2 <= 2 (|y|^2 + |sc|^2), and
+    g(n+2) + g(2n+1) <= g(3n+3), so
+    |A - (S - |y|^2)| <= 2 g(3n+3) (|y|^2 + |sc|^2) + 4 n h (1 + g(2n+1)).
+    With the computed norms Y_t of y and N of sc, each within g(n) and
+    n h (1 + g(n)) of its value, the tile takes
+
+        E = 4 g(3n+3) (Y_t + max_block N) + n 2**-1072,
+
+    twice the relative term and 8 n h against at most 5 n h: the margins
+    cover the norms' errors and the rounding of E for any blocklength below
+    2**40.  Nothing in it depends on the summation order, on FMA or on the
+    number of BLAS threads.
+
+    A tile where some Y_t or max_block N exceeds 2**999 or is not finite (y
+    or sc not finite, or a norm overflows) is scored by _sq_dist everywhere;
+    below that limit no partial sum of the filter overflows.
     """
-    scaled = np.ascontiguousarray((scale * codebook).T)  # (n, M)
+    ys = np.asarray(ys, dtype=np.float64)
+    n_cw, n = codebook.shape
+    cols = np.empty((n + 1, n_cw))  # scaled codewords as columns, N below
+    cols[:n] = (scale * codebook).T
+    sc, norms = cols[:n], cols[n]
+    unit = (3 * n + 3) * 2.0**-53
+    gap = 4 * unit / (1 - unit)  # 4 g(3n+3)
+    with np.errstate(over="ignore"):  # an overflow only sends tiles to _sq_dist
+        np.einsum("ij,ij->j", sc, sc, out=norms)
+        y_norms = np.einsum("ij,ij->i", ys, ys)
+        rows = np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))])
 
     def tile(sl, b, e):
-        y = ys[sl]
-        acc = np.zeros((y.shape[0], e - b))
-        d = np.empty_like(acc)
-        for i in range(scaled.shape[0]):
-            np.subtract(y[:, i, None], scaled[i, b:e], out=d)
-            np.multiply(d, d, out=d)
-            acc += d
-        return acc
+        y, top = ys[sl], norms[b:e].max()
+        if not (y_norms[sl].max() <= _FILTER_LIMIT and top <= _FILTER_LIMIT):
+            return _sq_dist(y.T[:, :, None], sc[:, None, b:e])
+        a = rows[sl] @ cols[:, b:e]
+        slack = gap * (y_norms[sl] + top) + n * 2.0**-1072
+        bar = a.min(axis=1) + 2 * slack
+        t, j = np.divmod(np.flatnonzero(a <= bar[:, None]), e - b)
+        a.fill(np.inf)
+        a[t, j] = _sq_dist(y[t].T, sc[:, b + j])
+        return a
 
-    return _first_min(ys.shape[0], scaled.shape[1], tile)
+    return _first_min(ys.shape[0], n_cw, tile)
 
 
 def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):

@@ -6,9 +6,12 @@ the same indices, ties included, for any chunk and block size.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopbc import _accel
 
@@ -105,6 +108,17 @@ def permutation_book(seed, n=7):
     return np.array(list(itertools.permutations(v)))
 
 
+def expanded_scores(book, scale, ys):
+    """|s*c|^2 - 2 y.(s*c) for every trial and codeword, formed as decode_sq's
+    filter forms it: one GEMM of the rows [-2y, 1] against the columns
+    [s*c; |s*c|^2]."""
+    n = book.shape[1]
+    cols = np.empty((n + 1, book.shape[0]))
+    cols[:n] = (scale * book).T
+    np.einsum("ij,ij->j", cols[:n], cols[:n], out=cols[n])
+    return np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))]) @ cols
+
+
 def default_step(n_cand):
     """Trials per chunk of ``_accel._first_min`` at the default sizes."""
     return _accel.CHUNK_BYTES // (32 * min(n_cand, _accel._CW_BLOCK))
@@ -193,6 +207,91 @@ class TestDecodeSq:
         got = _accel.decode_sq(book, 1.7, ys)
         np.testing.assert_array_equal(got, ref_decode_sq(book, 1.7, ys))
         assert np.any(got != ref_decode_sq(book[:, ::-1], 1.7, ys))
+
+    def test_verify_decides_where_expanded_form_order_is_reversed(self, chunking):
+        # two orderings of one vector whose expanded-form scores order them
+        # one way and whose per-element scores the other: the filter's own
+        # minimum is the wrong codeword, and the exact rescoring must win
+        book, scale = permutation_book(4), 1.7
+        for y0 in np.random.default_rng(4).standard_normal(20):
+            ys = np.full((3, 7), y0)
+            j = ref_decode_sq(book, scale, ys[:1])[0]
+            a = expanded_scores(book, scale, ys[:1])[0]
+            for k in np.flatnonzero(a < a[j])[:20]:
+                pair = book[[k, j]]
+                # per-element scores pick j strictly; the expanded form picks
+                # k, at one and at three trials
+                if ref_decode_sq(pair, scale, ys[:1])[0] == 1 and all(
+                    np.all(np.diff(expanded_scores(pair, scale, ys[:t]), axis=1) > 0)
+                    for t in (1, 3)
+                ):
+                    break
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no reversed pair among the permutation book's orderings")
+        got = _accel.decode_sq(pair, scale, ys)
+        np.testing.assert_array_equal(got, [1, 1, 1])
+        np.testing.assert_array_equal(got, ref_decode_sq(pair, scale, ys))
+
+    @pytest.mark.parametrize("scale", [3e153, 1e154, 1e-160, 1e-170])
+    def test_overflow_and_underflow_scales(self, chunking, scale):
+        # codewords near one common point: at 3e153 and 1e154 the expanded
+        # form overflows while every squared distance stays finite; at 1e-160
+        # the products are subnormal, and at 1e-170 every score is 0
+        rng = np.random.default_rng(31)
+        book = 1.0 + 0.08 * rng.standard_normal((60, 12))
+        book[30] = book[7]
+        units = book[rng.integers(60, size=40)] + 0.05 * rng.standard_normal((40, 12))
+        units[:3] = book[[7, 30, 59]]
+        ys = scale * units
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = ref_decode_sq(book, scale, ys)
+            got = _accel.decode_sq(book, scale, ys)
+        np.testing.assert_array_equal(got, want)
+        if scale > 1:  # these tiles take the per-element path
+            assert np.einsum("ij,ij->i", ys, ys).min() > _accel._FILTER_LIMIT
+        np.testing.assert_array_equal(got[:3], [0, 0, 0] if scale < 1e-165 else [7, 7, 59])
+
+    @pytest.mark.parametrize("scale", [1e-161, 1e-162])
+    def test_underflow_errors_are_covered_by_the_slack(self, chunking, scale):
+        # every product is subnormal, so each carries an absolute rounding
+        # error that no relative bound covers; among 1000 codewords in four
+        # dimensions some lie within those errors of each trial's nearest
+        rng = np.random.default_rng(33)
+        book = rng.standard_normal((1000, 4))
+        ys = scale * (book[rng.integers(1000, size=40)] + 0.5 * rng.standard_normal((40, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(
+                _accel.decode_sq(book, scale, ys), ref_decode_sq(book, scale, ys)
+            )
+
+    def test_non_finite_received_words(self, chunking):
+        rng = np.random.default_rng(32)
+        book = rng.standard_normal((30, 6))
+        ys = 1.2 * book[rng.integers(30, size=12)] + rng.standard_normal((12, 6))
+        ys[2, 3], ys[5, 0], ys[9, 1] = np.nan, np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _accel.decode_sq(book, 1.2, ys)
+            np.testing.assert_array_equal(got, ref_decode_sq(book, 1.2, ys))
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 9),
+           trials=st.integers(1, 30), scale=st.floats(1e-3, 1e3),
+           noise=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 10.0]))
+    def test_random_books_and_scales(self, chunking, seed, m, n, trials, scale, noise):
+        rng = np.random.default_rng(seed)
+        book = rng.standard_normal((m, n))
+        book[rng.integers(m, size=m // 4)] = book[0]  # exact duplicates tie
+        ys = scale * book[rng.integers(m, size=trials)] + noise * rng.standard_normal((trials, n))
+        np.testing.assert_array_equal(
+            _accel.decode_sq(book, scale, ys), ref_decode_sq(book, scale, ys)
+        )
 
     def test_exact_tie_across_a_block_boundary_picks_the_earlier_block(self, chunking):
         # under the block-7 chunking the two copies sit in different blocks

@@ -241,13 +241,23 @@ class TestOracleCompare:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_small_grid_one_sided(self, tmp_path, capsys):
-        # coarse grids deviate more than the release budget; pass a loose one
-        code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
-                    "--steps", 20, "--u-size", 2, "--budget", 0.5, "--out", tmp_path])
-        assert code == 0
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["steps"] == 20 and meta["u_cardinality"] == 2
-        assert (tmp_path / "oracle_inner.csv").exists()
+        # coarse grids deviate more than the release budget; pass a loose one.
+        # Every frontier file reads back and re-emits byte-identically: grid
+        # corners whose r1 share one 12-digit text are written once.
+        readers = {"csv": (regions.boundary_from_csv, regions.boundary_to_csv),
+                   "json": (regions.boundary_from_json, regions.boundary_to_json)}
+        for u_size in (2, 3):
+            for fmt, (read, write) in readers.items():
+                out = tmp_path / f"u{u_size}-{fmt}"
+                code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 20,
+                            "--u-size", u_size, "--budget", 0.5, "--format", fmt, "--out", out])
+                assert code == 0
+                meta = json.loads((out / "meta.json").read_text())
+                assert meta["steps"] == 20 and meta["u_cardinality"] == u_size
+                for kind in ("oracle", "parametric"):
+                    for side in ("inner", "outer"):
+                        text = (out / f"{kind}_{side}.{fmt}").read_text()
+                        assert write(read(text)) == text, (u_size, fmt, kind, side)
 
     def test_deviation_and_dominance_in_meta(self, tmp_path, capsys):
         code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2, "--steps", 20,
