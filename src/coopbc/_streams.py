@@ -1,4 +1,4 @@
-"""Many numpy streams ``default_rng((seed, 1, t))``, t = 0..trials-1, computed in bulk.
+"""Trial t's draws ``default_rng((seed, 1, t))``, t = 0..trials-1, computed in bulk.
 
 numpy builds each such generator in three public steps, repeated here as
 array arithmetic over t:
@@ -18,8 +18,9 @@ numpy's own ziggurat, whose tables numpy does not expose, on one reused
 ``PCG64`` set to each trial's state after its message draws.
 
 A trial whose message draw would need a Lemire rejection, or whose nu is
-2**32 or more, is flagged and not drawn; the caller draws it from its own
-generator.
+2**32 or more, is drawn from its own generator instead.  A guard compares
+the first and the last trial drawn in bulk with their own generators on
+every call: if either differs, every trial falls back to the per-trial loop.
 """
 
 from __future__ import annotations
@@ -128,12 +129,15 @@ class _Pcg64:
                 "has_uint32": 0, "uinteger": 0}
 
 
-def trial_draws(seed: int, trials: int, nu1: int, nu2: int, n: int, gaussian: bool):
-    """Per trial t, the draws of ``default_rng((seed, 1, t))``: ``integers(nu1)``,
-    ``integers(nu2)``, then 2n values of ``random`` or ``standard_normal``.
+def _trial_rng(seed: int, t: int) -> np.random.Generator:
+    return np.random.default_rng((seed, 1, t))
 
-    Returns m1, m2, the (trials, 2n) float array of values, and the trials
-    flagged for the caller to draw; a flagged trial's row holds no draw.
+
+def _bulk_draws(seed: int, trials: int, nu1: int, nu2: int, n: int, gaussian: bool):
+    """``trial_draws``' arithmetic over all trials at once.
+
+    Returns m1, m2, the (trials, 2n) float array of values, and the flagged
+    trials, whose rows hold no draw.
     """
     m1 = np.zeros(trials, dtype=np.int64)
     m2 = np.zeros(trials, dtype=np.int64)
@@ -164,3 +168,31 @@ def trial_draws(seed: int, trials: int, nu1: int, nu2: int, n: int, gaussian: bo
         for j in range(2 * n):
             np.multiply(gens.next64() >> np.uint64(11), 2.0**-53, out=z[:, j])
     return m1, m2, z, flagged
+
+
+def trial_draws(seed: int, trials: int, nu1: int, nu2: int, n: int, gaussian: bool):
+    """Per trial t, the draws of ``default_rng((seed, 1, t))``: m1 =
+    ``integers(nu1)``, m2 = ``integers(nu2)``, then user 1's and user 2's n
+    values of ``standard_normal`` (``gaussian``) or ``random``.
+
+    Returns m1, m2 and the two (trials, n) arrays of values.
+    """
+    m1, m2, z, flagged = _bulk_draws(seed, trials, nu1, nu2, n, gaussian)
+    z1, z2 = z[:, :n], z[:, n:]
+    draw = np.random.Generator.standard_normal if gaussian else np.random.Generator.random
+
+    def own(t):
+        rng = _trial_rng(seed, t)
+        return rng.integers(nu1), rng.integers(nu2), draw(rng, n), draw(rng, n)
+
+    def matches(t):
+        a1, a2, b1, b2 = own(t)
+        return (a1 == m1[t] and a2 == m2[t]
+                and np.array_equal(b1, z1[t]) and np.array_equal(b2, z2[t]))
+
+    drawn = np.flatnonzero(~flagged)
+    if drawn.size and not all(matches(t) for t in {int(drawn[0]), int(drawn[-1])}):
+        flagged[:] = True  # the bulk arithmetic is off here: draw every trial on its own
+    for t in np.flatnonzero(flagged).tolist():
+        m1[t], m2[t], z1[t], z2[t] = own(t)
+    return m1, m2, z1, z2

@@ -8,13 +8,9 @@ link; user 2 then decodes by maximum likelihood over the cloud centers inside
 that bin.
 
 Everything is deterministic given the seed: the codebook derives its stream
-from (seed, 0) and trial t from (seed, 1, t), so reports are reproducible
-trial-by-trial regardless of batching or thread count.  Trial t's draws are
-still those of ``np.random.default_rng((seed, 1, t))``, but ``_streams``
-computes them for all trials in bulk.  Trials it cannot draw in bulk come
-from their own generator, and a guard compares the first and the last
-trial it drew with their own generators on every call: if either differs,
-every trial falls back to the per-trial loop.
+from (seed, 0), and each trial draws from its own stream (``_streams``), so
+reports are reproducible trial-by-trial regardless of batching or thread
+count.
 """
 
 from __future__ import annotations
@@ -152,12 +148,11 @@ class SimReport:
         return json.dumps(asdict(self), indent=2)
 
 
+_MAX_SYMBOLS = np.iinfo(np.int8).max + 1  # codebook symbols are int8
+
+
 def _codebook_rng(cfg: CodeConfig) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, 0))
-
-
-def _trial_rng(cfg: CodeConfig, trial: int) -> np.random.Generator:
-    return np.random.default_rng((cfg.seed, 1, trial))
 
 
 def build_superposition_codebook(cfg: CodeConfig) -> Codebook:
@@ -168,12 +163,16 @@ def build_superposition_codebook(cfg: CodeConfig) -> Codebook:
     reaches, u the cloud symbol at its position.  Gaussian: clouds are
     sqrt(1-split) times a standard normal block and satellites add
     sqrt(split) times an independent one, for unit average input power.
-    Draw order is clouds first, then satellites.
+    Draw order is clouds first, then satellites.  Discrete symbols are int8,
+    so neither alphabet may exceed 128 symbols.
     """
     rng = _codebook_rng(cfg)
     nu1, nu2, n = cfg.nu1, cfg.nu2, cfg.n
     if cfg.input_law is not None:
         law = cfg.input_law
+        if max(law.u_size, law.x_size) > _MAX_SYMBOLS:
+            raise ValueError(f"input law alphabets are limited to {_MAX_SYMBOLS} symbols, "
+                             f"got |U| = {law.u_size} and |X| = {law.x_size}")
         clouds = rng.choice(law.u_size, size=(nu2, n), p=law.p_u).astype(np.int8)
         thresholds = np.cumsum(law.p_x_given_u, axis=1)[clouds, :-1]
         draws = rng.random((nu1, nu2, n))
@@ -199,53 +198,14 @@ def _bin_ranges(cfg: CodeConfig) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.minimum(cfg.nu2 - starts, cfg.bin_size)
 
 
-def _draw_one_trial(cfg: CodeConfig, t: int, draw):
-    """Trial t's m1, m2 and its two noise vectors, each ``draw(rng, n)``, from
-    its own generator."""
-    rng = _trial_rng(cfg, t)
-    return rng.integers(cfg.nu1), rng.integers(cfg.nu2), draw(rng, cfg.n), draw(rng, cfg.n)
-
-
-def _draw_trials(cfg: CodeConfig, trials: int, gaussian: bool):
-    """Per-trial messages and channel noise, one independent stream per trial.
-
-    Trial t's stream ``_trial_rng(cfg, t)`` gives m1, m2, then user 1's and
-    user 2's noise vectors of n standard normals (``gaussian``) or uniforms.
-    ``_streams`` computes those streams in bulk.  The trials it flags are
-    drawn one by one from ``_trial_rng``, and so is every trial when the
-    first or the last trial it drew (trials 0 and trials - 1 unless flagged)
-    differs from its own ``_trial_rng`` draws.
-    """
-    n = cfg.n
-    draw = np.random.Generator.standard_normal if gaussian else np.random.Generator.random
-    m1, m2, z, flagged = _streams.trial_draws(cfg.seed, trials, cfg.nu1, cfg.nu2, n, gaussian)
-    z1, z2 = z[:, :n], z[:, n:]
-
-    def redraw(ts):
-        for t in ts:
-            m1[t], m2[t], z1[t], z2[t] = _draw_one_trial(cfg, t, draw)
-
-    def matches(t):
-        a1, a2, b1, b2 = _draw_one_trial(cfg, t, draw)
-        return (a1 == m1[t] and a2 == m2[t]
-                and np.array_equal(b1, z1[t]) and np.array_equal(b2, z2[t]))
-
-    drawn = np.flatnonzero(~flagged)
-    if drawn.size and not all(matches(t) for t in {int(drawn[0]), int(drawn[-1])}):
-        redraw(range(trials))
-    else:
-        redraw(np.flatnonzero(flagged).tolist())
-    return m1, m2, z1, z2
-
-
 def _draw_trials_discrete(cfg: CodeConfig, trials: int):
     """Uniform variates that decide each erasure (user 1) and flip (user 2)."""
-    return _draw_trials(cfg, trials, gaussian=False)
+    return _streams.trial_draws(cfg.seed, trials, cfg.nu1, cfg.nu2, cfg.n, gaussian=False)
 
 
 def _draw_trials_gaussian(cfg: CodeConfig, trials: int):
     """Unit-variance noise for both receivers."""
-    return _draw_trials(cfg, trials, gaussian=True)
+    return _streams.trial_draws(cfg.seed, trials, cfg.nu1, cfg.nu2, cfg.n, gaussian=True)
 
 
 def simulate(

@@ -212,9 +212,10 @@ def bisect_monotone(
     the widest one is within ``tol.abs_tol``, so each target gets the float
     path's answer up to the rounding differences between f's two forms.
 
-    Raises ValueError for a NaN target, BracketError when a target is not
-    between f(lo) and f(hi), and IterationLimitError if the brackets cannot
-    be narrowed within ``tol.max_iters`` halvings.
+    Raises ValueError for a NaN target or a NaN value of f at lo, hi or any
+    midpoint, BracketError when a target is not between f(lo) and f(hi), and
+    IterationLimitError if the brackets cannot be narrowed within
+    ``tol.max_iters`` halvings.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
@@ -226,6 +227,8 @@ def bisect_monotone(
     sign = 1.0 if direction == "increasing" else -1.0
     f_lo = sign * f(lo)
     f_hi = sign * f(hi)
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"f is NaN at an endpoint of [{lo}, {hi}]")
     t = sign * target
     outside = (t < f_lo - tol.abs_tol) | (t > f_hi + tol.abs_tol)
     if outside.any() if array else outside:
@@ -243,7 +246,10 @@ def bisect_monotone(
         a, b = lo, hi
         for _ in range(tol.max_iters):
             mid = 0.5 * (a + b)
-            if sign * f(mid) < t:
+            value = sign * f(mid)
+            if math.isnan(value):
+                raise ValueError(f"f is NaN at {mid}")
+            if value < t:
                 a = mid
             else:
                 b = mid
@@ -253,7 +259,11 @@ def bisect_monotone(
         a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
         for _ in range(tol.max_iters):
             mid = 0.5 * (a + b)
-            below = sign * f(mid) < t
+            value = sign * f(mid)
+            nan = np.isnan(value)
+            if nan.any():
+                raise ValueError(f"f is NaN at {mid[nan].flat[0]}")
+            below = value < t
             a, b = np.where(below, mid, a), np.where(below, b, mid)
             if np.max(b - a, initial=0.0) <= tol.abs_tol:
                 return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))

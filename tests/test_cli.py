@@ -359,6 +359,14 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "report.json").exists()
 
+    def test_negative_rate_exit_2(self, tmp_path, capsys):
+        law = self.law_file(tmp_path)
+        err = assert_clean_exit_2(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
+                                   "--n", 8, "--r1=-0.1", "--r2", 0.2, "--c12", 0.2,
+                                   "--trials", 10, "--input-law", law, "--out", tmp_path], capsys)
+        assert err == "error: rates must be nonnegative\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_link_wider_than_the_float_range(self, tmp_path):
         law = self.law_file(tmp_path)
         code = run(["simulate", "--channel", "becbsc", "--params", 0.1, 0.2,
@@ -558,6 +566,14 @@ class TestMalformedInputFiles:
         good.write_text(make_bsc(0.1).to_json())
         assert_clean_exit_2(["check-mc", "json", bad, good], capsys)
         assert_clean_exit_2(["check-mc", "json", good, bad], capsys)
+
+    def test_simulate_law_above_128_symbols(self, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(AuxiliaryJoint(np.full(200, 1 / 200),
+                                                 np.full((200, 2), 0.5)).as_dict()))
+        argv = SIMULATE_BECBSC + ["--input-law", law, "--out", tmp_path / "out"]
+        assert "limited to 128 symbols" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert_clean_exit_2(SIMULATE_BECBSC + ["--input-law", tmp_path / "absent.json",

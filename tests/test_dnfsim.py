@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
@@ -52,6 +53,13 @@ class TestCodeConfig:
         rates = dict(r1=0.1, r2=0.1, c12=0.1)
         rates[field] = value
         with pytest.raises(ValueError, match="finite"):
+            CodeConfig(n=8, seed=0, input_law=UNIFORM_LAW, **rates)
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "c12"])
+    def test_negative_rates_rejected(self, field):
+        rates = dict(r1=0.1, r2=0.1, c12=0.1)
+        rates[field] = -0.1
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
             CodeConfig(n=8, seed=0, input_law=UNIFORM_LAW, **rates)
 
     def test_negative_seed_rejected(self):
@@ -217,6 +225,27 @@ class TestCodebook:
         sat_power = float(np.mean(book.satellites**2))
         assert cloud_power == pytest.approx(0.7, abs=0.05)
         assert sat_power == pytest.approx(1.0, abs=0.05)
+
+    def test_last_of_128_cloud_symbols(self):
+        # all mass on U = 127, which always sends X = 1
+        p_u = np.zeros(128)
+        p_u[-1] = 1.0
+        p_x_given_u = np.tile([1.0, 0.0], (128, 1))
+        p_x_given_u[-1] = [0.0, 1.0]
+        cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=6,
+                         input_law=AuxiliaryJoint(p_u, p_x_given_u))
+        book = build_superposition_codebook(cfg)
+        assert (book.clouds == 127).all() and (book.satellites == 1).all()
+
+    @pytest.mark.parametrize("u_size, x_size", [(200, 2), (2, 129)])
+    def test_alphabets_above_128_rejected(self, u_size, x_size):
+        # int8 symbols once wrapped U = 150 of 200 to -106, drawing its
+        # satellites from row 94's law
+        law = AuxiliaryJoint(np.full(u_size, 1 / u_size), np.full((u_size, x_size), 1 / x_size))
+        cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=6, input_law=law)
+        message = f"limited to 128 symbols, got |U| = {u_size} and |X| = {x_size}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_superposition_codebook(cfg)
 
     def test_deterministic(self):
         cfg = CodeConfig(n=16, r1=0.2, r2=0.2, c12=0.2, seed=5, input_law=UNIFORM_LAW)

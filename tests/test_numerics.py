@@ -20,6 +20,12 @@ from coopbc.numerics import (
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# evaluators that are NaN somewhere on [0, 1], a target, and where the NaN is met
+NAN_EVALUATORS = [
+    pytest.param(lambda v: v * math.nan, 0.5, "an endpoint", id="everywhere"),
+    pytest.param(lambda v: np.where(v > 0.4, math.nan, v), 0.7, "an endpoint", id="above_0.4"),
+    pytest.param(lambda v: np.where(abs(v - 0.5) < 0.05, math.nan, v), 0.7, "0.5", id="midpoint"),
+]
 
 
 class TestBinaryEntropy:
@@ -239,6 +245,11 @@ class TestBisectMonotone:
         with pytest.raises(ValueError, match="NaN"):
             bisect_monotone(lambda v: v, 0.0, 1.0, math.nan, direction)
 
+    @pytest.mark.parametrize("f, target, where", NAN_EVALUATORS)
+    def test_nan_evaluator_rejected(self, f, target, where):
+        with pytest.raises(ValueError, match=f"f is NaN at {where}"):
+            bisect_monotone(f, 0.0, 1.0, target)
+
 
 class TestBisectMonotoneArrays:
     """An ndarray target runs one bisection over every element, by the float path's rules."""
@@ -306,6 +317,11 @@ class TestBisectMonotoneArrays:
     def test_nan_element_rejected(self, direction):
         with pytest.raises(ValueError, match="NaN"):
             bisect_monotone(lambda v: v, 0.0, 1.0, np.array([0.3, math.nan]), direction)
+
+    @pytest.mark.parametrize("f, target, where", NAN_EVALUATORS)
+    def test_nan_evaluator_rejected(self, f, target, where):
+        with pytest.raises(ValueError, match=f"f is NaN at {where}"):
+            bisect_monotone(f, 0.0, 1.0, np.array([0.2, target]))
 
     @pytest.mark.parametrize("bad", [-0.5, 2.0])
     def test_out_of_bracket_element(self, bad):

@@ -28,14 +28,14 @@ def _config(seed, nu1, nu2, n):
     return cfg
 
 
-def _numpy_rng(cfg, t):
-    return np.random.default_rng((cfg.seed, 1, t))
+def _numpy_rng(seed, t):
+    return np.random.default_rng((seed, 1, t))
 
 
 def _counting(calls, rng_of=_numpy_rng):
-    def counted(cfg, t):
+    def counted(seed, t):
         calls.append(t)
-        return rng_of(cfg, t)
+        return rng_of(seed, t)
     return counted
 
 
@@ -47,7 +47,7 @@ def _reference(cfg, trials, draw, rng_of=_numpy_rng):
     z1 = np.empty((trials, n))
     z2 = np.empty((trials, n))
     for t in range(trials):
-        rng = rng_of(cfg, t)
+        rng = rng_of(cfg.seed, t)
         m1[t] = rng.integers(nu1)
         m2[t] = rng.integers(nu2)
         z1[t] = draw(rng, n)
@@ -87,7 +87,7 @@ def test_bulk_draws_match_the_per_trial_loop(monkeypatch, seed, nu1, nu2, n, kin
     draw_trials, draw = KINDS[kind]
     want = _reference(cfg, trials, draw)
     calls = []
-    monkeypatch.setattr(dnfsim, "_trial_rng", _counting(calls))
+    monkeypatch.setattr(_streams, "_trial_rng", _counting(calls))
     _assert_same(draw_trials(cfg, trials), want)
     assert sorted(calls) == [0, trials - 1]
 
@@ -99,12 +99,12 @@ def test_rejected_draws_come_from_their_own_generator(monkeypatch, kind):
     cfg = _config(2**64 + 3, 3, 2**31 + 1, n)
     draw_trials, draw = KINDS[kind]
     want = _reference(cfg, trials, draw)
-    m1, m2, z, flagged = _streams.trial_draws(cfg.seed, trials, 3, 2**31 + 1, n, kind == "gaussian")
+    m1, m2, z, flagged = _streams._bulk_draws(cfg.seed, trials, 3, 2**31 + 1, n, kind == "gaussian")
     assert 0.4 * trials < flagged.sum() < 0.6 * trials
     ok = ~flagged
     _assert_same((m1[ok], m2[ok], z[ok, :n], z[ok, n:]), [w[ok] for w in want])
     calls = []
-    monkeypatch.setattr(dnfsim, "_trial_rng", _counting(calls))
+    monkeypatch.setattr(_streams, "_trial_rng", _counting(calls))
     _assert_same(draw_trials(cfg, trials), want)
     drawn = np.flatnonzero(ok)
     assert sorted(calls) == sorted(np.flatnonzero(flagged).tolist() + [drawn[0], drawn[-1]])
@@ -122,14 +122,14 @@ def test_every_message_count_and_blocklength(seed):
 
 def test_counts_of_two_to_the_32_or_more_flag_every_trial():
     for nu1, nu2 in ((2**32, 1), (3, 2**32 + 1)):
-        assert _streams.trial_draws(1, 5, nu1, nu2, 2, False)[3].all()
+        assert _streams._bulk_draws(1, 5, nu1, nu2, 2, False)[3].all()
 
 
 @pytest.mark.parametrize("trials", [1, 2])
 def test_one_or_two_trials(monkeypatch, trials):
     cfg = _config(7, 3, 5, 4)
     calls = []
-    monkeypatch.setattr(dnfsim, "_trial_rng", _counting(calls))
+    monkeypatch.setattr(_streams, "_trial_rng", _counting(calls))
     for draw_trials, draw in KINDS.values():
         _assert_same(draw_trials(cfg, trials), _reference(cfg, trials, draw))
     assert sorted(calls) == sorted(list(range(trials)) * 2)
@@ -138,8 +138,8 @@ def test_one_or_two_trials(monkeypatch, trials):
 @pytest.mark.parametrize("ends_flagged", [False, True])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_guard_redraws_every_trial_when_the_streams_differ(monkeypatch, kind, ends_flagged):
-    def other(cfg, t):
-        return np.random.default_rng((cfg.seed, 2, t))
+    def other(seed, t):
+        return np.random.default_rng((seed, 2, t))
 
     # nu2 = 2**31 + 1 flags about half the trials: take a seed and a trial
     # count whose first and last trials are both flagged, or both drawn in
@@ -147,12 +147,12 @@ def test_guard_redraws_every_trial_when_the_streams_differ(monkeypatch, kind, en
     # trials drawn in bulk
     nu2 = 2**31 + 1
     for seed in range(100):
-        flagged = _streams.trial_draws(seed, 300, 3, nu2, 8, False)[3]
+        flagged = _streams._bulk_draws(seed, 300, 3, nu2, 8, False)[3]
         if flagged[0] == ends_flagged:
             break
     trials = np.flatnonzero(flagged == ends_flagged)[-1] + 1
     assert 0 < flagged[:trials].sum() < trials
-    monkeypatch.setattr(dnfsim, "_trial_rng", other)
+    monkeypatch.setattr(_streams, "_trial_rng", other)
     cfg = _config(seed, 3, nu2, 8)
     draw_trials, draw = KINDS[kind]
     _assert_same(draw_trials(cfg, trials), _reference(cfg, trials, draw, rng_of=other))
