@@ -224,15 +224,26 @@ def simulate(
     counts mismatches on unerased positions (exact ties, first-index
     tie-break); Gaussian decoding uses squared distance.
 
-    Each family only checks the input law, draws the trials, forms both
-    received words and binds its two decoders; the decode-and-forward loop
-    below is shared.  The channel pair need not be ordered: either receiver
+    The input law is checked against the family before the codebook is
+    drawn.  Each family then only draws the trials, forms both received
+    words and binds its two decoders; the decode-and-forward loop below is
+    shared.  The channel pair need not be ordered: either receiver
     may be the stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if isinstance(channels, BecBscBC):
+        if cfg.input_law is None:
+            raise ValueError("discrete channels require a discrete input law")
+        if cfg.input_law.x_size != 2:
+            raise ValueError("the erasure/flip family expects a binary input alphabet")
+    elif isinstance(channels, GaussianBC):
+        if cfg.input_law is not None:
+            raise ValueError("Gaussian channels require a power-split input law")
+    else:
+        raise ValueError(f"unsupported channel family: {channels!r}")
     book = build_superposition_codebook(cfg)
     nu2 = cfg.nu2
     sat_flat = book.satellites.reshape(cfg.nu1 * nu2, cfg.n)
@@ -240,10 +251,6 @@ def simulate(
     # decode1(ys) -> codeword index (m1*nu2 + m2); decode2(ys, *bin ranges,
     # bin of each trial) -> m2
     if isinstance(channels, BecBscBC):
-        if cfg.input_law is None:
-            raise ValueError("discrete channels require a discrete input law")
-        if cfg.input_law.x_size != 2:
-            raise ValueError("the erasure/flip family expects a binary input alphabet")
         m1, m2, u_erase, u_flip = _draw_trials_discrete(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         y1 = np.where(u_erase < channels.tau1, _accel.ERASURE, x).astype(np.int8)
@@ -252,9 +259,7 @@ def simulate(
             logq2 = np.log(cfg.input_law.p_x_given_u @ channels.pair().ch2.transitions)
         decode1 = partial(_accel.decode_map_int, sat_flat)
         decode2 = partial(_accel.decode_map_float, book.clouds, logq2)
-    elif isinstance(channels, GaussianBC):
-        if cfg.input_law is not None:
-            raise ValueError("Gaussian channels require a power-split input law")
+    else:
         m1, m2, z1, z2 = _draw_trials_gaussian(cfg, trials)
         x = sat_flat[m1 * nu2 + m2]
         root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
@@ -262,8 +267,6 @@ def simulate(
         y2 = root_s2 * x + z2
         decode1 = partial(_accel.decode_sq, sat_flat, root_s1)
         decode2 = partial(_accel.decode_sq_restricted, book.clouds, root_s2)
-    else:
-        raise ValueError(f"unsupported channel family: {channels!r}")
 
     cand_start, cand_count = _bin_ranges(cfg)
 

@@ -202,6 +202,9 @@ def oracle_both(
             "grows combinatorially, keep steps small",
             stacklevel=2,
         )
+    # C1 only labels the corners, but a channel whose capacity cannot be
+    # certified should fail before the scan, not after it
+    c1, _ = capacity(pair.ch1, base=base)
     scale = base.ln_scale
     m = spec.u_cardinality
     # a one-point U has the single cloud law (1); a finer P_U grid would only
@@ -239,7 +242,6 @@ def oracle_both(
             inner.add(in_r1, in_r2)
             outer.add(out_r1, out_r2)
 
-    c1, _ = capacity(pair.ch1, base=base)
     return tuple(
         RateRegionBoundary(
             r1,

@@ -370,12 +370,17 @@ class TestSimulate:
         (AuxiliaryJoint([1.0], [[0.2, 0.3, 0.5]]), BecBscBC(0.1, 0.2), "binary input alphabet"),
         (UNIFORM_LAW, GaussianBC(5.0, 0.5), "require a power-split input law"),
         (None, "bsc", "unsupported channel family"),
+        (None, BecBscBC(0.1, 0.2), "require a discrete input law"),
     ])
-    def test_input_law_must_fit_the_family(self, law, channels, message):
+    def test_input_law_must_fit_the_family(self, monkeypatch, law, channels, message):
+        # the law is checked before the codebook is drawn
+        drawn = []
+        monkeypatch.setattr(dnfsim, "build_superposition_codebook", drawn.append)
         cfg = CodeConfig(n=4, r1=0.25, r2=0.25, c12=0.25, seed=0, input_law=law,
                          power_split=None if law else 0.5)
         with pytest.raises(ValueError, match=message):
             simulate(cfg, channels, 5)
+        assert drawn == []
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):

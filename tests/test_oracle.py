@@ -19,7 +19,7 @@ from coopbc.channel import (
     make_bec,
     make_bsc,
 )
-from coopbc.numerics import LogBase, Tolerance, bisect_monotone
+from coopbc.numerics import IterationLimitError, LogBase, Tolerance, bisect_monotone
 from coopbc.oracle import (
     BudgetExceededError,
     GridSpec,
@@ -33,6 +33,7 @@ from coopbc.oracle import (
     oracle_both,
 )
 from coopbc.regions import RateRegionBoundary, boundary_to_csv, inner_boundary, pareto_filter
+from test_regions import ref_pareto_filter
 
 PAIR = ChannelPair(make_bec(0.1), make_bsc(0.2))
 BC = BecBscBC(0.1, 0.2)
@@ -195,6 +196,17 @@ class TestAgainstParametric:
                     assert a.r2.tobytes() == b.r2.tobytes()
                     assert boundary_to_csv(a) == boundary_to_csv(b)
 
+    def test_frontiers_match_the_reference_filter(self, monkeypatch):
+        # steps 30, |U| 2: chunks of 496 outer and 992 inner corners, above the
+        # bucket prune's 64-point floor
+        spec = GridSpec(steps=30, u_cardinality=2)
+        got = oracle_both(PAIR, 0.2, spec)
+        monkeypatch.setattr(oracle, "pareto_filter", ref_pareto_filter)
+        for a, b in zip(got, oracle_both(PAIR, 0.2, spec)):
+            assert a.r1.tobytes() == b.r1.tobytes()
+            assert a.r2.tobytes() == b.r2.tobytes()
+            np.testing.assert_array_equal(a.segment, b.segment)
+
     def test_fold_equals_one_filter_over_every_corner(self):
         c12, spec = 0.2, GridSpec(steps=14, u_cardinality=3)
         rows = np.array(list(_compositions(spec.steps, 2)))
@@ -324,6 +336,19 @@ def test_threads_below_one_rejected(threads):
 def test_cooperation_rate_must_be_finite_and_nonnegative(c12):
     with pytest.raises(ValueError, match="cooperation rate must be finite and nonnegative"):
         oracle_both(PAIR, c12, GridSpec(steps=4, u_cardinality=2))
+
+
+def test_capacity_failure_stops_before_the_scan(monkeypatch):
+    scanned = []
+
+    def uncertified(*args, **kwargs):
+        raise IterationLimitError("capacity not certified")
+
+    monkeypatch.setattr(oracle, "capacity", uncertified)
+    monkeypatch.setattr(oracle, "_general_scan_chunk", lambda *args: scanned.append(args))
+    with pytest.raises(IterationLimitError, match="capacity not certified"):
+        oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2))
+    assert scanned == []
 
 
 class TestBinaryInput:

@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.gaussian import GaussianBC, gaussian_family
@@ -383,6 +385,23 @@ def tie_heavy_points(draw):
             np.array([p[1] for p in pts], dtype=np.float64))
 
 
+@st.composite
+def lattice_clouds(draw):
+    """100 to 400 points, above the bucket prune's floor, on a k/K lattice plus
+    signed zeros and infinities: many exact duplicates and ties, several r1
+    values per bucket and some on bucket edges.  No r1 = -inf, which turns
+    the prune off."""
+    lattice = draw(st.integers(1, 48))
+    grid = np.arange(lattice + 1) / lattice
+    r1_values = np.append(grid, [-0.0, 0.0, np.inf])
+    r2_values = np.append(grid, [-0.0, 0.0, np.inf, -np.inf])
+    n = draw(st.integers(100, 400))
+    r1, r2 = (values[draw(hnp.arrays(np.intp, n, elements=st.integers(0, values.size - 1),
+                                     fill=st.nothing()))]
+              for values in (r1_values, r2_values))
+    return r1, r2
+
+
 class TestParetoFilter:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(tie_heavy_points())
@@ -391,6 +410,25 @@ class TestParetoFilter:
         r1, r2 = pts
         got = pareto_filter(r1, r2)
         assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, ref_pareto_filter(r1, r2))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lattice_clouds())
+    def test_bucket_prune_matches_reference_loop(self, pts):
+        r1, r2 = pts
+        np.testing.assert_array_equal(pareto_filter(r1, r2), ref_pareto_filter(r1, r2))
+
+    @pytest.mark.parametrize("r1", [
+        np.linspace(-1.0, 1.0, 101) * 1e308,  # max r1 - min r1 overflows
+        np.full(101, 0.25),  # a zero-width r1 range
+        np.append(-np.inf, np.linspace(0.0, 1.0, 100)),  # min r1 = -inf
+        np.arange(101) % 2 * 5e-324,  # a subnormal r1 range
+    ])
+    def test_bucket_prune_edge_ranges(self, r1):
+        r2 = np.arange(r1.size) * 3 % 7 / 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pareto_filter(r1, r2)
         np.testing.assert_array_equal(got, ref_pareto_filter(r1, r2))
 
     def test_matches_reference_on_a_dense_cloud(self):
