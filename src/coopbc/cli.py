@@ -96,13 +96,21 @@ def cmd_fig(args) -> int:
     else:
         c12_list = [c12 * base.one_bit() for c12 in default_c12]
     # every rate and threshold is checked before the first file is written
+    stems = {}  # frontier file stem -> the rate that writes it
+    for c12 in c12_list:
+        stem = f"{which}_c12_{_fmt(c12)}"
+        if stem in stems:
+            raise ValueError(
+                f"c12 rates {stems[stem]!r} and {c12!r} both write {stem}.{args.format}"
+            )
+        stems[stem] = c12
     families = [bc.family(c12, base) for c12 in c12_list]
     r1_ths = [fam.f1(bc.threshold(c12, base, tol)) for c12, fam in zip(c12_list, families)]
     out = Path(args.out)
     diamonds = ["c12,r1,r2"]
-    for c12, fam, r1_th in zip(c12_list, families, r1_ths):
+    for (stem, c12), fam, r1_th in zip(stems.items(), families, r1_ths):
         boundary = regions.inner_boundary(fam, args.grid)
-        p = _emit_boundary(out / f"{which}_c12_{_fmt(c12)}", boundary, args.format)
+        p = _emit_boundary(out / stem, boundary, args.format)
         diamonds.append(f"{_fmt(c12)},{_fmt(r1_th)},{_fmt(fam.c1 - r1_th)}")
         print(f"wrote {p}")
     _write(out / "diamonds.csv", "\n".join(diamonds) + "\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -80,6 +81,10 @@ class CodeConfig:
                 f"codebook of 2**{log2_size:.6g} codewords exceeds the budget "
                 f"of {self.codeword_budget}"
             )
+        # a budget past 2**1024 admits codes whose 2.0**(n*r_k) overflows
+        log2_nu = self.n * max(self.r1, self.r2)
+        if log2_nu >= sys.float_info.max_exp:
+            raise BudgetExceededError(f"2**{log2_nu:.6g} messages are past the float range")
         if self.nu1 * self.nu2 > self.codeword_budget:
             raise BudgetExceededError(
                 f"codebook of {self.nu1}*{self.nu2} codewords exceeds the budget "

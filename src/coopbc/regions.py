@@ -176,7 +176,7 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     largest r1; among exact duplicates the lowest index wins.  Points with
     r1 = +inf or r2 = -inf are never kept.  NaN raises ValueError.
 
-    Three passes, no Python loop.  Bucket prune, without sorting (Bentley,
+    Two passes, no Python loop.  Bucket prune, without sorting (Bentley,
     Clarkson and Levine, "Fast linear expected-time algorithms for computing
     maxima and convex hulls", 1990), run from 64 points up when
     max r1 - min r1 is finite and positive: split [min r1, max r1] into
@@ -186,16 +186,17 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     larger r1, so a dropped point is beaten in both coordinates by some
     point, which also beats whatever the dropped point dominates: the answer
     is the same under every tie rule, and the points left keep their index
-    order.  Suffix prune (Kung, Luccio and Preparata, JACM 1975): sort the
-    points left by r1 and keep as candidates the points whose r2 is at least
-    the largest r2 after them, a suffix maximum.  Every kept point passes, and
-    so does, for every other candidate, some candidate that drops it, so
-    filtering the candidates alone gives the answer.  Walk: visit the few
-    candidates in (r1, r2) descending order, ties by index, and keep a point
-    when its r2 beats the running maximum of the points before it; that also
-    drops all but the first point of each r1 group.  The walk alone over
-    every point gives the same indices, but its lexsort makes it two to three
-    times slower on an oracle chunk than the prunes and walk.
+    order.  Sort and sweep (Kung, Luccio and Preparata, JACM 1975): sort the
+    points left by r1, then r2, ascending, exact duplicates by descending
+    index, and keep a point iff its r2 is strictly above the largest r2 after
+    it.  Every point after p has a larger r1, or the same r1 and a larger r2,
+    or is a duplicate of p with a lower index, so any of them with r2 >= p's
+    beats p under the tie rules; no point before p can.  The points kept come
+    out in increasing r1.  The sort is one stable argsort of the reversed
+    points as complex numbers r1 + i*r2, which numpy orders by real part,
+    then imaginary part; np.lexsort gives the same order from two stable
+    sorts, about 1.4 times as long on an oracle scan's points (numpy 2.4,
+    x86-64).
     """
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
@@ -226,17 +227,11 @@ def pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
             live = np.flatnonzero(r2 >= _max_after(top)[bucket])
             r1, r2 = r1[live], r2[live]
             idx = live if idx is None else idx[live]
-    by_r1 = np.argsort(r1)
-    s2 = r2[by_r1]
-    # largest r2 after each point in the r1 order; >=, not >, because the
-    # points after it include its own r1 ties
-    after = _max_after(s2)
-    cand = np.sort(by_r1[s2 >= after])  # original index order, for the tie rule
-    c1, c2 = r1[cand], r2[cand]
-    order = np.lexsort((-c2, -c1))  # r1 descending, then r2 descending
-    walk_r2 = c2[order]
-    best_before = np.maximum.accumulate(np.append(-np.inf, walk_r2))[:-1]
-    keep = cand[order[walk_r2 > best_before][::-1]]
+    # stable on the reversed points, so exact duplicates come out by descending index
+    z = np.stack((r1[::-1], r2[::-1]), axis=1).view(np.complex128).ravel()
+    order = r1.size - 1 - np.argsort(z, kind="stable")
+    s2 = r2[order]
+    keep = order[s2 > _max_after(s2)]
     return keep if idx is None else idx[keep]
 
 

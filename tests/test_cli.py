@@ -98,6 +98,14 @@ class TestFig:
         assert run(["fig2", "--c12", "0,2.0", "--out", tmp_path]) == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rates", ["0.1,0.1", "0.1,0.1000000000001", "0,0.2,0.1,0.1"])
+    def test_rates_sharing_a_file_name_rejected(self, tmp_path, capsys, rates):
+        # two rates with one 12-digit text would write one frontier file twice
+        out = tmp_path / "out"
+        err = assert_clean_exit_2(["fig3", "--c12", rates, "--out", out, "--grid", 11], capsys)
+        assert "both write fig3_c12_0.1.csv" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("which, count", [("fig2", 5), ("fig3", 4)])
     def test_default_rates_in_nats(self, tmp_path, which, count):
         # the default rates are bit values, scaled into the run's base
@@ -663,6 +671,17 @@ class TestFailureContract:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    def test_budget_past_the_float_range(self, tmp_path, capsys):
+        # log2 of the budget is 1329, so 2**1200 passes the budget check
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(AuxiliaryJoint(np.array([1.0]),
+                                                 np.array([[0.5, 0.5]])).as_dict()))
+        argv = ["simulate", "--channel", "becbsc", "--params", 0.1, 0.2, "--n", 2000,
+                "--r1", 0.6, "--r2", 0, "--c12", 0, "--trials", 1, "--input-law", law,
+                "--codeword-budget", 10 ** 400, "--out", tmp_path / "out"]
+        assert "past the float range" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
 
 
 SUBCOMMAND_ARGV = {

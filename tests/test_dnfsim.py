@@ -41,6 +41,19 @@ class TestCodeConfig:
         with pytest.raises(BudgetExceededError):
             CodeConfig(n=2000, r1=0.6, r2=0.1, c12=0.0, seed=0, input_law=UNIFORM_LAW)
 
+    @pytest.mark.parametrize("r1, r2", [(0.6, 0.0), (0.0, 0.512), (0.1, 0.55)])
+    def test_budget_past_the_float_range_is_over_budget_not_overflow(self, r1, r2):
+        # the budget admits 2**1329 codewords, but 2.0**(n*r_k) overflows from 1024 up
+        with pytest.raises(BudgetExceededError, match="past the float range"):
+            CodeConfig(n=2000, r1=r1, r2=r2, c12=0.0, seed=0, input_law=UNIFORM_LAW,
+                       codeword_budget=10 ** 400)
+
+    def test_largest_code_below_the_float_range(self):
+        r1 = math.nextafter(1024.0, 0.0)
+        cfg = CodeConfig(n=1, r1=r1, r2=0.0, c12=0.0, seed=0, input_law=UNIFORM_LAW,
+                         codeword_budget=2 ** 1024)
+        assert cfg.nu1 == int(2.0 ** r1) and cfg.nu2 == 1
+
     def test_budget_edge_still_accepted(self):
         # n*(r1+r2) rounds to just above log2(budget); the exact count decides
         cfg = CodeConfig(n=10, r1=0.1, r2=0.2, c12=0.0, seed=0, input_law=UNIFORM_LAW,
