@@ -2,16 +2,17 @@
 
 Every decision is the first minimum of a cost sum (mismatches, squared
 distances or negated log-scores), taken by one loop, ``_first_min``, over
-tiles of a chunk of trials x a block of candidate positions.  A kernel only
-scores its tiles, and every cost that can decide is that of a per-trial loop:
-integer scores are exact, and floating scores add the same per-element terms
-symbol by symbol.  decode_sq filters first: an expanded-form GEMM score with
-a proven rounding bound rules positions out, only the positions within that
-bound of each trial's least score are scored exactly, and the rest cost
-+inf.  Blocks merge in position order by a strict "lower than" and every
-pick starts at position 0, so ties keep the first index and a row of all
-+inf keeps position 0.  Decisions do not depend on the chunk or block size,
-on the number of BLAS threads, or on how the caller splits trials.
+tiles of a chunk of trials x a block of candidate positions.  A kernel scores
+its tile and returns each trial's first least position in it and that cost,
+and every cost that can decide is that of a per-trial loop: integer scores
+are exact, and floating scores add the same per-element terms symbol by
+symbol.  decode_sq filters first: a float32 expanded-form GEMM score with a
+proven rounding bound rules positions out, and only the positions within
+that bound of each trial's least score are scored exactly.  Blocks merge in
+position order by a strict "lower than" and every pick starts at position 0,
+so ties keep the first index and a row of all +inf keeps position 0.
+Decisions do not depend on the chunk or block size, on the number of BLAS
+threads, or on how the caller splits trials.
 
 Kernels:
   * decode_map_int   - fewest mismatches on unerased positions (erasure channels)
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Bytes one tile may hold, at 32 per trial and position: about what a user-2
-# tile and the arrays scoring it take.  Small enough that a tile stays in
-# cache; a tile of one trial may exceed it.
+# Bytes one tile may hold.  Each kernel states the bytes its tile takes per
+# trial and position: 4 for a user-1 tile of float32 scores, 32 for a user-2
+# tile and the arrays scoring it.  Small enough that a tile stays in cache; a
+# tile of one trial may exceed it.
 CHUNK_BYTES = 1 << 20
 
 # Largest integer magnitude below which every float32 integer sum is exact.
@@ -38,30 +40,37 @@ ERASURE = 2
 # Candidate positions per tile.
 _CW_BLOCK = 4096
 
-# Largest |y|^2 and |s*c|^2 that decode_sq scores by its expanded-form filter.
-_FILTER_LIMIT = 2.0**999
+# Largest |y|^2 and |s*c|^2 that decode_sq scores by its float32 filter.
+_FILTER_LIMIT = 2.0**100
 
 
-def _first_min(trials: int, n_cand: int, tile) -> np.ndarray:
+def _first_min(trials: int, n_cand: int, tile, width: int) -> np.ndarray:
     """Position of each trial's first minimum cost among n_cand candidates.
 
-    ``tile(sl, b, e)`` returns the costs of trials sl at positions b..e-1.
-    Every chunk of trials is scored against one block before the next block
-    starts, so each block of a large codebook is read once per call.
+    ``tile(sl, b, e)`` returns, for trials sl, each one's first least
+    position in b..e-1, relative to b, and its cost.  A chunk holds as many
+    trials as keep a tile of ``width`` bytes per trial and position within
+    CHUNK_BYTES.  Every chunk of trials is scored against one block before
+    the next block starts, so each block of a large codebook is read once
+    per call.
     """
     out, best = np.zeros(trials, dtype=np.int64), np.full(trials, np.inf)
     block = max(1, min(n_cand, _CW_BLOCK))
-    step = max(1, CHUNK_BYTES // (32 * block))
+    step = max(1, CHUNK_BYTES // (width * block))
     for b in range(0, n_cand, block):
         for a in range(0, trials, step):
             sl = slice(a, min(a + step, trials))
-            costs = tile(sl, b, min(b + block, n_cand))
-            j = np.argmin(costs, axis=1)
-            low = np.take_along_axis(costs, j[:, None], axis=1)[:, 0]
+            j, low = tile(sl, b, min(b + block, n_cand))
             better = low < best[sl]
             best[sl][better] = low[better]
             out[sl][better] = j[better] + b
     return out
+
+
+def _pick(costs):
+    """Each row's first least position and the cost there."""
+    j = np.argmin(costs, axis=1)
+    return j, np.take_along_axis(costs, j[:, None], axis=1)[:, 0]
 
 
 def decode_map_int(codebook, ys):
@@ -80,7 +89,7 @@ def decode_map_int(codebook, ys):
         raise ValueError(f"blocklength {n} exceeds 2**24; float32 scores would round")
     bits = np.ascontiguousarray(codebook.T, dtype=np.float32)  # (n, M)
     weights = np.array([1.0, -1.0, 0.0], dtype=np.float32)[ys]  # (T, n): w(y)
-    return _first_min(ys.shape[0], n_cw, lambda sl, b, e: weights[sl] @ bits[:, b:e])
+    return _first_min(ys.shape[0], n_cw, lambda sl, b, e: _pick(weights[sl] @ bits[:, b:e]), 4)
 
 
 def _sq_dist(y, sc):
@@ -103,71 +112,93 @@ def decode_sq(codebook, scale, ys):
     where it can be least:
 
     * Filter.  A = |sc|^2 - 2 y.sc, in exact arithmetic S - |y|^2, is one
-      GEMM of the rows [-2y, 1] (a power-of-two scaling, so exact) against
-      the block's columns [sc; N], where N = |sc|^2 is computed once per call.
+      float32 GEMM of the rows [-2y, 1] against the block's columns [sc; N],
+      where N = |sc|^2 is computed in float64 and both operands are rounded
+      to float32 once per call.
     * Verify.  Positions with A <= min A + 2 E get their S, with trial t's
-      slack E >= |A - (S - |y|^2)|; every other position costs +inf.  Let j
-      attain the tile's least S and k its least A.  Then
-      A_j <= S_j - |y|^2 + E <= S_k - |y|^2 + E <= A_k + 2 E, and rounding is
-      monotone, so j passes the computed bar too.  Every position with the
-      least S is scored, and the tile's first minimum and least cost, and so
-      every decision, are those of scoring every position.
+      slack E >= |A - (S - |y|^2)|.  Let j attain the tile's least S and k
+      its least A.  Then A_j <= S_j - |y|^2 + E <= S_k - |y|^2 + E <= A_k + 2 E.
+      The bar is formed in float64 and rounded to float32, rounding is
+      monotone and A_j is a float32, so j passes the computed bar too.
+      Every position with the least S is scored, and the tile's first
+      minimum and least cost, and so every decision, are those of scoring
+      every position.  The passing positions come in trial, then position
+      order, and each trial has one (its least A), so each trial's least S
+      is a minimum over its run, and its pick the run's first position
+      that attains it.
 
     The slack (Higham, Accuracy and Stability of Numerical Algorithms,
-    sections 2.1-3.1).  Let u = 2**-53, g(k) = k u / (1 - k u), and
-    h = 2**-1075, the largest error of a product that underflows; a sum that
-    underflows is exact.  A sum of k products in any order, with or without
-    FMA, is within g(k) sum|products| + k h (1 + g(k)) of its value.  Over the
-    stored sc, with S* = sum (y_i - sc_i)^2 and P = |sc|^2 + 2 sum|y_i sc_i|:
+    sections 2.1-3.1).  Let u = 2**-24, g(k) = k u / (1 - k u), and
+    h = 2**-150, the largest error of a float32 conversion or product that
+    underflows; a sum that underflows is exact.  Rounding x to float32 gives
+    x (1 + d) + e with |d| <= u and |e| <= h.  A sum of k products in any
+    order, with or without FMA, is within g(k) sum|products| +
+    k h (1 + g(k)) of its value.  Over the stored sc, with
+    S* = sum (y_i - sc_i)^2, Q = 2 sum|y_i sc_i| and N* = |sc|^2, and the
+    float64 figures u' = 2**-53, g' and h' = 2**-1075 for S and the norms:
 
-    * |S - S*| <= g(n+2) S* + n h (1 + g(n)): d enters squared, d*d is
+    * |S - S*| <= g'(n+2) S* + n h' (1 + g'(n)): d enters squared, d*d is
       rounded once, and n terms take n - 1 additions;
-    * |N - |sc|^2| <= g(n) |sc|^2 + n h (1 + g(n)), and A sums n + 1
-      products, the last 1*N, so |A - (S* - |y|^2)| <= g(2n+1) P +
-      3 n h (1 + g(2n+1)), by g(n+1) (1 + g(n)) + g(n) <= g(2n+1).
+    * the float32 operands r_i of -2 y_i and c_i of sc_i give
+      |r_i c_i + 2 y_i sc_i| <= g(2) 2|y_i sc_i| + h (1 + u) (2|y_i| + |sc_i|)
+      + h**2, each error of one factor times the other factor's magnitude;
+    * the float32 N is within u N + h of the float64 N, which is within
+      g'(n) N* + n h' (1 + g'(n)) of N*;
+    * A sums n + 1 products, the last 1*N, so by g(a) (1 + g(b)) + g(b) <=
+      g(a+b) and sum (2|y_i| + |sc_i|) <= sqrt(n) (2|y| + |sc|),
+      |A - (N* - 2 y.sc)| <= g(n+3) (Q + N*) + h (1 + g(n+2)) (sqrt(n)
+      (2|y| + |sc|) + n + 3), plus terms in h' of the float64 N.
 
-    S* and P are at most sum (|y_i| + |sc_i|)^2 <= 2 (|y|^2 + |sc|^2), and
-    g(n+2) + g(2n+1) <= g(3n+3), so
-    |A - (S - |y|^2)| <= 2 g(3n+3) (|y|^2 + |sc|^2) + 4 n h (1 + g(2n+1)).
-    With the computed norms Y_t of y and N of sc, each within g(n) and
-    n h (1 + g(n)) of its value, the tile takes
+    Q + N* and S* are at most sum (|y_i| + |sc_i|)^2 <= 2 (|y|^2 + |sc|^2),
+    g(n+3) + g'(n+2) <= g(n+4), 2|y| + |sc| <= 2 + |y|^2 + |sc|^2, and
+    g(n+2) <= 1 while n + 4 <= 2**23, so
+    |A - (S - |y|^2)| <= 2 g(n+4) (|y|^2 + |sc|^2) +
+    2 h (sqrt(n) (2 + |y|^2 + |sc|^2) + n + 3) + (terms in h').
+    With the computed norms Y_t of y and N of sc, each within g'(n) and
+    n h' (1 + g'(n)) of its value, the tile takes
 
-        E = 4 g(3n+3) (Y_t + max_block N) + n 2**-1072,
+        E = (4 g(n+4) + 4 h sqrt(n)) (Y_t + max_block N) + 4 h (2 sqrt(n) + n + 4),
 
-    twice the relative term and 8 n h against at most 5 n h: the margins
-    cover the norms' errors and the rounding of E for any blocklength below
-    2**40.  Nothing in it depends on the summation order, on FMA or on the
-    number of BLAS threads.
+    twice the relative and absolute terms: the margins cover the norms'
+    errors, the terms in h' and the float64 rounding of E and of the bar
+    before its one rounding to float32.  Nothing in it depends on the
+    summation order, on FMA or on the number of BLAS threads.
 
-    A tile where some Y_t or max_block N exceeds 2**999 or is not finite (y
-    or sc not finite, or a norm overflows) is scored by _sq_dist everywhere;
-    below that limit no partial sum of the filter overflows.
+    Past 2**23 - 4 symbols, or in a tile where some Y_t or max_block N
+    exceeds 2**100 or is not finite (y or sc not finite, or a norm
+    overflows), every position is scored by _sq_dist.  Below that limit no
+    float32 conversion, product, partial sum or bar overflows: each is at
+    most a few times 2**102.
     """
     ys = np.asarray(ys, dtype=np.float64)
     n_cw, n = codebook.shape
-    cols = np.empty((n + 1, n_cw))  # scaled codewords as columns, N below
-    cols[:n] = (scale * codebook).T
-    sc, norms = cols[:n], cols[n]
-    unit = (3 * n + 3) * 2.0**-53
-    gap = 4 * unit / (1 - unit)  # 4 g(3n+3)
+    unit = min(n + 4, 2**23) * 2.0**-24
+    limit = _FILTER_LIMIT if n + 4 <= 2**23 else -1.0  # past it, g(n+4) > 1
+    gap = 4 * unit / (1 - unit) + 2.0**-148 * n**0.5  # 4 g(n+4) + 4 h sqrt(n)
+    floor = 2.0**-148 * (2 * n**0.5 + n + 4)
+    cols = np.empty((n + 1, n_cw), dtype=np.float32)  # float32 sc as columns, N below
     with np.errstate(over="ignore"):  # an overflow only sends tiles to _sq_dist
-        np.einsum("ij,ij->j", sc, sc, out=norms)
+        sc = scale * codebook
+        norms = np.einsum("ij,ij->i", sc, sc)
+        cols[:n], cols[n] = sc.T, norms
+        del sc  # the verify scales only the codewords it scores
         y_norms = np.einsum("ij,ij->i", ys, ys)
-        rows = np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))])
+        rows = np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))]).astype(np.float32)
 
     def tile(sl, b, e):
         y, top = ys[sl], norms[b:e].max()
-        if not (y_norms[sl].max() <= _FILTER_LIMIT and top <= _FILTER_LIMIT):
-            return _sq_dist(y.T[:, :, None], sc[:, None, b:e])
+        if not (y_norms[sl].max() <= limit and top <= limit):
+            return _pick(_sq_dist(y.T[:, :, None], (scale * codebook[b:e]).T[:, None, :]))
         a = rows[sl] @ cols[:, b:e]
-        slack = gap * (y_norms[sl] + top) + n * 2.0**-1072
-        bar = a.min(axis=1) + 2 * slack
+        bar = (a.min(axis=1) + 2 * (gap * (y_norms[sl] + top) + floor)).astype(np.float32)
         t, j = np.divmod(np.flatnonzero(a <= bar[:, None]), e - b)
-        a.fill(np.inf)
-        a[t, j] = _sq_dist(y[t].T, sc[:, b + j])
-        return a
+        s = _sq_dist(y[t].T, (scale * codebook[b + j]).T)
+        runs = np.searchsorted(t, np.arange(len(y)))
+        low = np.minimum.reduceat(s, runs)
+        hits = np.flatnonzero(s == low[t])
+        return j[hits[np.searchsorted(t[hits], np.arange(len(y)))]], low
 
-    return _first_min(ys.shape[0], n_cw, tile)
+    return _first_min(ys.shape[0], n_cw, tile, 4)
 
 
 def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):
@@ -192,9 +223,9 @@ def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):
         for i in range(columns.shape[0]):
             score(acc, columns[i][cands], y[:, i, None])
         acc[~valid] = np.inf
-        return acc
+        return _pick(acc)
 
-    return starts + _first_min(ys.shape[0], int(counts.max(initial=0)), tile)
+    return starts + _first_min(ys.shape[0], int(counts.max(initial=0)), tile, 32)
 
 
 def decode_map_float(codebook, logscore, ys, cand_start, cand_count, cand_of):

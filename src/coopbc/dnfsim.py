@@ -29,7 +29,7 @@ from . import _accel, _streams
 from .becbsc import BecBscBC
 from .channel import AuxiliaryJoint
 from .gaussian import GaussianBC
-from .numerics import BudgetExceededError
+from .numerics import BudgetExceededError, check_threads
 
 
 # older names of the two family classes, still built by perfbench/workloads.py
@@ -60,6 +60,10 @@ class CodeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"blocklength must be >= 1, got {self.n}")
+        # every exponent below is a float product n*r: refuse a blocklength
+        # that no float holds exactly before it meets a rate
+        if self.n > 2**53:
+            raise ValueError("blocklength must be <= 2**53")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(r) for r in (self.r1, self.r2, self.c12)):
@@ -237,8 +241,7 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if isinstance(channels, BecBscBC):
         if cfg.input_law is None:
             raise ValueError("discrete channels require a discrete input law")

@@ -88,6 +88,19 @@ class BudgetExceededError(ValueError):
     """A grid scan or a codebook would exceed its configured work budget."""
 
 
+# Most worker threads simulate and oracle_both accept: each is one OS thread,
+# and a wider pool only asks the OS for threads that no core can run.
+MAX_THREADS = 256
+
+
+def check_threads(threads: int) -> None:
+    """Refuse a worker count below 1 or above MAX_THREADS, before any pool starts."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be <= {MAX_THREADS}, got {threads}")
+
+
 def _check_probabilities(p) -> None:
     p = np.asarray(p)
     bad = ~((p >= 0.0) & (p <= 1.0))  # NaN is bad too

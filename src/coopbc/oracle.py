@@ -36,7 +36,7 @@ from .channel import (
     capacity,
     composition_count,
 )
-from .numerics import BudgetExceededError, LogBase
+from .numerics import BudgetExceededError, LogBase, check_threads
 from .regions import (
     SEGMENT_CONJECTURED,
     SEGMENT_PROVEN,
@@ -189,8 +189,7 @@ def oracle_both(
     """
     if not (math.isfinite(c12) and c12 >= 0):
         raise ValueError(f"cooperation rate must be finite and nonnegative, got {c12}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     total = evaluation_count(pair, spec)
     if total > EVAL_BUDGET:
         raise BudgetExceededError(

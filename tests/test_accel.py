@@ -110,18 +110,21 @@ def permutation_book(seed, n=7):
 
 def expanded_scores(book, scale, ys):
     """|s*c|^2 - 2 y.(s*c) for every trial and codeword, formed as decode_sq's
-    filter forms it: one GEMM of the rows [-2y, 1] against the columns
-    [s*c; |s*c|^2]."""
+    filter forms it: one float32 GEMM of the rows [-2y, 1] against the
+    columns [s*c; |s*c|^2], both rounded to float32 from float64."""
     n = book.shape[1]
     cols = np.empty((n + 1, book.shape[0]))
     cols[:n] = (scale * book).T
     np.einsum("ij,ij->j", cols[:n], cols[:n], out=cols[n])
-    return np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))]) @ cols
+    rows = np.hstack([-2.0 * ys, np.ones((ys.shape[0], 1))])
+    return rows.astype(np.float32) @ cols.astype(np.float32)
 
 
-def default_step(n_cand):
-    """Trials per chunk of ``_accel._first_min`` at the default sizes."""
-    return _accel.CHUNK_BYTES // (32 * min(n_cand, _accel._CW_BLOCK))
+def default_step(n_cand, width):
+    """Trials per chunk of ``_accel._first_min`` at the default sizes, for a
+    kernel whose tile takes ``width`` bytes per trial and position: 4 for the
+    user-1 decoders, 32 for the user-2 decoders."""
+    return _accel.CHUNK_BYTES // (width * min(n_cand, _accel._CW_BLOCK))
 
 
 def bins_for(m, bin_size, n_bins):
@@ -167,7 +170,7 @@ class TestDecodeMapInt:
         book = binary_book(rng, 2 * block + 5, 16)
         book[block + 3] = book[10]  # ties across codeword blocks keep the first
         book[2 * block + 1] = book[block + 7]
-        step = default_step(book.shape[0])
+        step = default_step(book.shape[0], 4)
         ys = bec_outputs(rng, book, 2 * step + 3, erase=0.2)
         ys[:2] = book[[10, block + 7]]
         got = _accel.decode_map_int(book, ys)
@@ -235,6 +238,50 @@ class TestDecodeSq:
         np.testing.assert_array_equal(got, [1, 1, 1])
         np.testing.assert_array_equal(got, ref_decode_sq(pair, scale, ys))
 
+    def test_verify_decides_where_float32_filter_order_is_reversed(self, chunking):
+        # two codewords about 1e-6 apart: their per-element scores differ by
+        # far more than float64 rounding and by less than the float32
+        # filter's, which orders them the other way; the filter's own minimum
+        # is the wrong codeword, and the exact rescoring must win
+        rng = np.random.default_rng(41)
+        scale = 1.3
+        for _ in range(500):
+            c = rng.standard_normal(8)
+            pair = np.array([c, c + 1e-6 * rng.standard_normal(8)])
+            ys = np.tile(scale * c + 0.5 * rng.standard_normal(8), (3, 1))
+            if ref_decode_sq(pair, scale, ys[:1])[0] == 1 and all(
+                np.all(np.diff(expanded_scores(pair, scale, ys[:t]), axis=1) > 0)
+                for t in (1, 3)
+            ):
+                break
+        else:
+            pytest.fail("no pair whose float32 filter order is reversed")
+        got = _accel.decode_sq(pair, scale, ys)
+        np.testing.assert_array_equal(got, [1, 1, 1])
+        np.testing.assert_array_equal(got, ref_decode_sq(pair, scale, ys))
+
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_both_sides_of_the_filter_limit(self, chunking, side):
+        # the largest |y|^2 and |s*c|^2 just below the limit (every tile
+        # filtered in float32, where no conversion, product or sum may
+        # overflow) and just above it (tiles holding it scored per element)
+        rng = np.random.default_rng(34)
+        book = 1.0 + 0.08 * rng.standard_normal((60, 12))
+        book[30] = book[7]
+        units = book[rng.integers(60, size=40)] + 0.05 * rng.standard_normal((40, 12))
+        units[:3] = book[[7, 30, 59]]
+        top = max(np.einsum("ij,ij->i", a, a).max() for a in (book, units))
+        scale = np.sqrt(side * _accel._FILTER_LIMIT / top)
+        ys = scale * units
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = ref_decode_sq(book, scale, ys)
+            got = _accel.decode_sq(book, scale, ys)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:3], [7, 7, 59])
+        norms = [np.einsum("ij,ij->i", a, a).max() for a in (scale * book, ys)]
+        assert (max(norms) <= _accel._FILTER_LIMIT) == (side < 1)
+
     @pytest.mark.parametrize("scale", [3e153, 1e154, 1e-160, 1e-170])
     def test_overflow_and_underflow_scales(self, chunking, scale):
         # codewords near one common point: at 3e153 and 1e154 the expanded
@@ -255,11 +302,12 @@ class TestDecodeSq:
             assert np.einsum("ij,ij->i", ys, ys).min() > _accel._FILTER_LIMIT
         np.testing.assert_array_equal(got[:3], [0, 0, 0] if scale < 1e-165 else [7, 7, 59])
 
-    @pytest.mark.parametrize("scale", [1e-161, 1e-162])
+    @pytest.mark.parametrize("scale", [1e-161, 1e-162, 1e-21, 1e-22])
     def test_underflow_errors_are_covered_by_the_slack(self, chunking, scale):
-        # every product is subnormal, so each carries an absolute rounding
-        # error that no relative bound covers; among 1000 codewords in four
-        # dimensions some lie within those errors of each trial's nearest
+        # every product is subnormal (in float32 at 1e-21 and 1e-22, in
+        # float64 too at 1e-161 and 1e-162), so each carries an absolute
+        # rounding error that no relative bound covers; among 1000 codewords
+        # in four dimensions some lie within those errors of each trial's nearest
         rng = np.random.default_rng(33)
         book = rng.standard_normal((1000, 4))
         ys = scale * (book[rng.integers(1000, size=40)] + 0.5 * rng.standard_normal((40, 4)))
@@ -307,7 +355,7 @@ class TestDecodeSq:
         rng = np.random.default_rng(8)
         m = _accel._CW_BLOCK + 300
         book = rng.standard_normal((m, 6))
-        trials = 2 * default_step(m) + 1
+        trials = 2 * default_step(m, 4) + 1
         ys = book[rng.integers(m, size=trials)] + 0.5 * rng.standard_normal((trials, 6))
         got = _accel.decode_sq(book, 1.0, ys)
         np.testing.assert_array_equal(got, ref_decode_sq(book, 1.0, ys))
@@ -381,7 +429,7 @@ class TestDecodeMapFloat:
         clouds = binary_book(rng, 2 * bin_size, 20)
         logscore = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
         bins, cands = bins_for(2 * bin_size, bin_size, 2)
-        trials = 2 * default_step(bin_size) + 5
+        trials = 2 * default_step(bin_size, 32) + 5
         ys = rng.integers(0, 2, size=(trials, 20)).astype(np.int8)
         cand_of = bins[rng.integers(2 * bin_size, size=trials)]
         got = _accel.decode_map_float(clouds, logscore, ys, *cands, cand_of)
@@ -448,7 +496,7 @@ class TestDecodeSqRestricted:
         bin_size = _accel._CW_BLOCK + 512
         clouds = rng.standard_normal((2 * bin_size, 5))
         bins, cands = bins_for(2 * bin_size, bin_size, 2)
-        trials = 2 * default_step(bin_size) + 7
+        trials = 2 * default_step(bin_size, 32) + 7
         ys = rng.standard_normal((trials, 5))
         cand_of = bins[rng.integers(2 * bin_size, size=trials)]
         got = _accel.decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of)

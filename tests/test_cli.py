@@ -620,6 +620,12 @@ class TestFlagValues:
         assert "threads must be >= 1" in assert_clean_exit_2(argv, capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["oracle-compare", "simulate"])
+    def test_threads_above_the_ceiling(self, tmp_path, capsys, command):
+        argv = SUBCOMMAND_ARGV[command] + ["--threads", 257, "--out", tmp_path / "out"]
+        assert "threads must be <= 256" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestFailureContract:
     """Input that a solver cannot meet or that does not fit in memory is
@@ -650,6 +656,13 @@ class TestFailureContract:
         monkeypatch.setattr(f"{module}.{name}", out_of_memory)
         argv = SUBCOMMAND_ARGV[command] + ["--out", tmp_path / "out"]
         assert "Unable to allocate" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_blocklength_past_the_float_range(self, tmp_path, capsys):
+        argv = ["simulate", "--channel", "gaussian", "--params", 5, 0.5, "--n", "1" + "0" * 400,
+                "--r1", 0, "--r2", 0, "--c12", 0, "--trials", 1, "--power-split", 0.5,
+                "--out", tmp_path / "out"]
+        assert "blocklength must be <= 2**53" in assert_clean_exit_2(argv, capsys)
         assert not (tmp_path / "out").exists()
 
     def test_region_prints_nothing_on_invalid_grid(self, tmp_path, capsys):

@@ -60,6 +60,16 @@ class TestCodeConfig:
                          codeword_budget=8)
         assert cfg.nu1 * cfg.nu2 == 8
 
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**400])
+    def test_blocklength_past_exact_floats_rejected(self, n):
+        # 10**400 is past the float range: n*(r1+r2) used to raise OverflowError
+        with pytest.raises(ValueError, match="blocklength must be <= 2\\*\\*53"):
+            CodeConfig(n=n, r1=0.0, r2=0.0, c12=0.0, seed=0, power_split=0.5)
+
+    def test_largest_blocklength_accepted(self):
+        cfg = CodeConfig(n=2**53, r1=0.0, r2=0.0, c12=0.0, seed=0, power_split=0.5)
+        assert cfg.nu1 == cfg.nu2 == cfg.bin_size == 1
+
     @pytest.mark.parametrize("field", ["r1", "r2", "c12"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_rates_rejected(self, field, value):
@@ -400,6 +410,15 @@ class TestSimulate:
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=8, input_law=UNIFORM_LAW)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             simulate(cfg, BecBscBC(0.1, 0.2), 10, threads=threads)
+
+    def test_threads_above_the_ceiling_rejected_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(dnfsim, "ThreadPoolExecutor", no_pool)
+        cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=8, input_law=UNIFORM_LAW)
+        with pytest.raises(ValueError, match="threads must be <= 256"):
+            simulate(cfg, BecBscBC(0.1, 0.2), 10, threads=10**6)
 
     def test_link_wider_than_the_float_range_runs(self):
         # only the bins in use are searched: a 2**1280-index link decodes like

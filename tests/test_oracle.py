@@ -332,6 +332,15 @@ def test_threads_below_one_rejected(threads):
         oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2), threads=threads)
 
 
+def test_threads_above_the_ceiling_rejected_before_any_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="threads must be <= 256"):
+        oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2), threads=10**6)
+
+
 @pytest.mark.parametrize("c12", [math.nan, math.inf, -math.inf])
 def test_cooperation_rate_must_be_finite_and_nonnegative(c12):
     with pytest.raises(ValueError, match="cooperation rate must be finite and nonnegative"):
