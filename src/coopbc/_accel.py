@@ -3,16 +3,17 @@
 Every decision is the first minimum of a cost sum (mismatches, squared
 distances or negated log-scores), taken by one loop, ``_first_min``, over
 tiles of a chunk of trials x a block of candidate positions.  A kernel scores
-its tile and returns each trial's first least position in it and that cost,
-and every cost that can decide is that of a per-trial loop: integer scores
+only real codewords (a user-2 position past a trial's range repeats its last
+member) and returns each trial's first least position in its tile and that
+cost; every cost that can decide is that of a per-trial loop: integer scores
 are exact, and floating scores add the same per-element terms symbol by
 symbol.  decode_sq filters first: a float32 expanded-form GEMM score with a
-proven rounding bound rules positions out, and only the positions within
-that bound of each trial's least score are scored exactly.  Blocks merge in
-position order by a strict "lower than" and every pick starts at position 0,
-so ties keep the first index and a row of all +inf keeps position 0.
-Decisions do not depend on the chunk or block size, on the number of BLAS
-threads, or on how the caller splits trials.
+proven rounding bound rules positions out, and only the positions within that
+bound of each trial's least score are scored exactly.  Blocks merge in
+position order by a strict "lower than", a NaN below any number as in numpy's
+argmin, and every pick starts at position 0, so ties keep the first index and
+a row of all +inf keeps position 0.  Decisions do not depend on the chunk or
+block size, on the number of BLAS threads, or on how the caller splits trials.
 
 Kernels:
   * decode_map_int   - fewest mismatches on unerased positions (erasure channels)
@@ -61,7 +62,7 @@ def _first_min(trials: int, n_cand: int, tile, width: int) -> np.ndarray:
         for a in range(0, trials, step):
             sl = slice(a, min(a + step, trials))
             j, low = tile(sl, b, min(b + block, n_cand))
-            better = low < best[sl]
+            better = (low < best[sl]) | (np.isnan(low) & ~np.isnan(best[sl]))
             best[sl][better] = low[better]
             out[sl][better] = j[better] + b
     return out
@@ -208,21 +209,20 @@ def _restricted(codebook, ys, cand_start, cand_count, cand_of, score):
     them, for b = cand_of[t]: its position k is codeword cand_start[b] + k.
     ``score(acc, column, y)`` adds symbol i's costs for candidate symbols
     ``column`` and received symbols ``y`` (trials, 1) into acc in place.
-    Positions past a range cost +inf, so the pick is that of a loop over the
-    range, and an all-+inf range picks its start.
+    A position past a range rescores its last member, so the pick is that
+    of a loop over the range; an empty range, or one of infinite costs only,
+    picks its start.
     """
     columns = np.ascontiguousarray(codebook.T)  # (n, nu2)
     starts, counts = cand_start[cand_of], cand_count[cand_of]
+    last = np.maximum(counts - 1, 0)
 
     def tile(sl, b, e):
-        k = np.arange(b, e)
-        valid = k < counts[sl, None]
-        cands = np.where(valid, starts[sl, None] + k, starts[sl, None])
+        cands = starts[sl, None] + np.minimum(np.arange(b, e), last[sl, None])
         y = ys[sl]
         acc = np.zeros(cands.shape)
         for i in range(columns.shape[0]):
             score(acc, columns[i][cands], y[:, i, None])
-        acc[~valid] = np.inf
         return _pick(acc)
 
     return starts + _first_min(ys.shape[0], int(counts.max(initial=0)), tile, 32)
@@ -232,9 +232,9 @@ def decode_map_float(codebook, logscore, ys, cand_start, cand_count, cand_of):
     """First-maximum log-score candidate per trial, over an index range per trial.
 
     Trial t searches the range of b = cand_of[t] (see ``_restricted``).
-    Costs subtract logscore[c_i, y_i] symbol by symbol (-inf entries cost
-    +inf); negation is exact, so every cost sum is the exact negative of the
-    log-score sum.  Returns the chosen codeword index per trial.
+    Costs subtract logscore[c_i, y_i] symbol by symbol, so only -inf entries
+    cost +inf; negation is exact, so every cost sum is the exact negative of
+    the log-score sum.  Returns the chosen codeword index per trial.
     """
     def score(acc, column, y):
         acc -= logscore[column, y]

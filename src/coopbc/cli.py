@@ -147,11 +147,11 @@ def cmd_oracle_compare(args) -> int:
     pair = bc.pair()
     spec = oracle.GridSpec(steps=args.steps, u_cardinality=args.u_size)
     fam = bc.family(args.c12, base)
+    # a bad --grid fails before the scan; no file is written before every distance is known
+    params = [sweep(fam, args.grid) for sweep in (regions.inner_boundary, regions.outer_boundary)]
     t0 = time.perf_counter()
     found = oracle.oracle_both(pair, fam.c12, spec, base, threads=args.threads)
     runtime = time.perf_counter() - t0
-    # every frontier and distance is computed before the first file is written
-    params = [sweep(fam, args.grid) for sweep in (regions.inner_boundary, regions.outer_boundary)]
     dev = [oracle.frontier_deviation(g, p) for g, p in zip(found, params)]
     dom = [oracle.frontier_dominance(g, p) for g, p in zip(found, params)]
     sides = ("inner", "outer")
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except regions.MonotonicityError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

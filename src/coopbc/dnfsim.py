@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
@@ -29,7 +28,7 @@ from . import _accel, _streams
 from .becbsc import BecBscBC
 from .channel import AuxiliaryJoint
 from .gaussian import GaussianBC
-from .numerics import BudgetExceededError, check_threads
+from .numerics import BudgetExceededError, check_threads, map_in_order
 
 
 # older names of the two family classes, still built by perfbench/workloads.py
@@ -233,48 +232,46 @@ def simulate(
     counts mismatches on unerased positions (exact ties, first-index
     tie-break); Gaussian decoding uses squared distance.
 
-    The input law is checked against the family before the codebook is
-    drawn.  Each family then only draws the trials, forms both received
-    words and binds its two decoders; the decode-and-forward loop below is
-    shared.  The channel pair need not be ordered: either receiver
-    may be the stronger one.
+    The family is decided once: its input law is checked before the codebook
+    is drawn, and after the shared trial draw one branch per family forms
+    both received words and binds its two decoders; the decode-and-forward
+    loop below is shared.  The channel pair need not be ordered: either
+    receiver may be the stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_threads(threads)
-    if isinstance(channels, BecBscBC):
-        if cfg.input_law is None:
-            raise ValueError("discrete channels require a discrete input law")
-        if cfg.input_law.x_size != 2:
-            raise ValueError("the erasure/flip family expects a binary input alphabet")
-    elif isinstance(channels, GaussianBC):
-        if cfg.input_law is not None:
-            raise ValueError("Gaussian channels require a power-split input law")
-    else:
+    gaussian = isinstance(channels, GaussianBC)
+    if not (gaussian or isinstance(channels, BecBscBC)):
         raise ValueError(f"unsupported channel family: {channels!r}")
+    if not gaussian and cfg.input_law is None:
+        raise ValueError("discrete channels require a discrete input law")
+    if not gaussian and cfg.input_law.x_size != 2:
+        raise ValueError("the erasure/flip family expects a binary input alphabet")
+    if gaussian and cfg.input_law is not None:
+        raise ValueError("Gaussian channels require a power-split input law")
     book = build_superposition_codebook(cfg)
     nu2 = cfg.nu2
     sat_flat = book.satellites.reshape(cfg.nu1 * nu2, cfg.n)
+    # each receiver's noise, or the uniforms that decide its erasures and flips
+    m1, m2, v1, v2 = (_draw_trials_gaussian if gaussian else _draw_trials_discrete)(cfg, trials)
+    x = sat_flat[m1 * nu2 + m2]
 
     # decode1(ys) -> codeword index (m1*nu2 + m2); decode2(ys, *bin ranges,
     # bin of each trial) -> m2
-    if isinstance(channels, BecBscBC):
-        m1, m2, u_erase, u_flip = _draw_trials_discrete(cfg, trials)
-        x = sat_flat[m1 * nu2 + m2]
-        y1 = np.where(u_erase < channels.tau1, _accel.ERASURE, x).astype(np.int8)
-        y2 = np.where(u_flip < channels.p2, 1 - x, x).astype(np.int8)
+    if gaussian:
+        root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
+        y1 = root_s1 * x + v1
+        y2 = root_s2 * x + v2
+        decode1 = partial(_accel.decode_sq, sat_flat, root_s1)
+        decode2 = partial(_accel.decode_sq_restricted, book.clouds, root_s2)
+    else:
+        y1 = np.where(v1 < channels.tau1, _accel.ERASURE, x).astype(np.int8)
+        y2 = np.where(v2 < channels.p2, 1 - x, x).astype(np.int8)
         with np.errstate(divide="ignore"):
             logq2 = np.log(cfg.input_law.p_x_given_u @ channels.pair().ch2.transitions)
         decode1 = partial(_accel.decode_map_int, sat_flat)
         decode2 = partial(_accel.decode_map_float, book.clouds, logq2)
-    else:
-        m1, m2, z1, z2 = _draw_trials_gaussian(cfg, trials)
-        x = sat_flat[m1 * nu2 + m2]
-        root_s1, root_s2 = math.sqrt(channels.s1), math.sqrt(channels.s2)
-        y1 = root_s1 * x + z1
-        y2 = root_s2 * x + z2
-        decode1 = partial(_accel.decode_sq, sat_flat, root_s1)
-        decode2 = partial(_accel.decode_sq_restricted, book.clouds, root_s2)
 
     cand_start, cand_count = _bin_ranges(cfg)
 
@@ -285,10 +282,7 @@ def simulate(
 
     bounds = np.linspace(0, trials, threads + 1).astype(int)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    # a pool starts no thread before its first task, so threads=1 decodes here
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list((pool.map if threads > 1 else map)(decode_chunk, slices))
-    m1_hat, m2_hat = (np.concatenate(p) for p in zip(*parts))
+    m1_hat, m2_hat = map(np.concatenate, zip(*map_in_order(decode_chunk, slices, threads)))
 
     e1 = m1_hat != m1
     e2 = m2_hat != m2

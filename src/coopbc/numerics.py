@@ -17,9 +17,10 @@ within a few ulp: ``np.log2`` and ``math.log2`` can differ in the last bit.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -99,6 +100,14 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be <= {MAX_THREADS}, got {threads}")
+
+
+def map_in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for every item, in order, on ``threads`` worker threads.  At one
+    thread it is plain ``map`` and the pool starts no thread, so every call
+    stays in the calling thread, as a tracer keeping one span stack needs."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from (pool.map if threads > 1 else map)(fn, items)
 
 
 def _check_probabilities(p) -> None:

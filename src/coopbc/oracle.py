@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .channel import (
     capacity,
     composition_count,
 )
-from .numerics import BudgetExceededError, LogBase, check_threads
+from .numerics import BudgetExceededError, LogBase, check_threads, map_in_order
 from .regions import (
     SEGMENT_CONJECTURED,
     SEGMENT_PROVEN,
@@ -190,10 +189,14 @@ def oracle_both(
     if not (math.isfinite(c12) and c12 >= 0):
         raise ValueError(f"cooperation rate must be finite and nonnegative, got {c12}")
     check_threads(threads)
-    total = evaluation_count(pair, spec)
-    if total > EVAL_BUDGET:
+    m, steps = spec.u_cardinality, spec.steps
+    # log space first, as the exact count of a large |U| has millions of digits;
+    # the slack covers lgamma's rounding, and inside it the exact count decides
+    log2_total = m * math.log2(composition_count(steps, pair.input_size)) + (
+        math.lgamma(steps + m) - math.lgamma(steps + 1) - math.lgamma(m)) / math.log(2)
+    if log2_total > math.log2(EVAL_BUDGET) + 1e-3 or evaluation_count(pair, spec) > EVAL_BUDGET:
         raise BudgetExceededError(
-            f"scan would evaluate {total} joints, over the budget of {EVAL_BUDGET}"
+            f"scan would evaluate 2**{log2_total:.6g} joints, over the budget of {EVAL_BUDGET}"
         )
     if pair.input_size > 2:
         warnings.warn(
@@ -205,12 +208,11 @@ def oracle_both(
     # certified should fail before the scan, not after it
     c1, _ = capacity(pair.ch1, base=base)
     scale = base.ln_scale
-    m = spec.u_cardinality
     # a one-point U has the single cloud law (1); a finer P_U grid would only
     # scale every P_X numerator, and the lattice, by steps
-    u_steps = spec.steps if m > 1 else 1
-    row_grid = _compositions(spec.steps, pair.input_size)
-    lattice = _Lattice(spec.steps * u_steps, pair.ch1.transitions, pair.ch2.transitions)
+    u_steps = steps if m > 1 else 1
+    row_grid = _compositions(steps, pair.input_size)
+    lattice = _Lattice(steps * u_steps, pair.ch1.transitions, pair.ch2.transitions)
     rows_mi1, rows_h2 = lattice(row_grid[:, :-1] * u_steps)
     tuples = _canonical_tuples(row_grid.shape[0], m)
 
@@ -231,15 +233,10 @@ def oracle_both(
         return inner_r1[ki], inner_r2[ki], a[ko], b[ko]
 
     inner, outer = _Fold(), _Fold()
-    comps = _compositions(u_steps, m)
-    # a pool starts no thread before its first task, so threads=1 scans in this
-    # one; it must, since a tracer that keeps one span stack sees worker-thread
-    # spans close out of order
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(scan_chunk, comps) if threads > 1 else map(scan_chunk, comps)
-        for in_r1, in_r2, out_r1, out_r2 in chunks:
-            inner.add(in_r1, in_r2)
-            outer.add(out_r1, out_r2)
+    chunks = map_in_order(scan_chunk, _compositions(u_steps, m), threads)
+    for in_r1, in_r2, out_r1, out_r2 in chunks:
+        inner.add(in_r1, in_r2)
+        outer.add(out_r1, out_r2)
 
     return tuple(
         RateRegionBoundary(

@@ -7,6 +7,7 @@ the same indices, ties included, for any chunk and block size.
 
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -327,6 +328,17 @@ class TestDecodeSq:
             got = _accel.decode_sq(book, 1.2, ys)
             np.testing.assert_array_equal(got, ref_decode_sq(book, 1.2, ys))
 
+    def test_non_finite_codewords(self, chunking):
+        # a NaN score is below every number, as in numpy's argmin: the first
+        # NaN codeword wins, in whichever block it lies
+        rng = np.random.default_rng(33)
+        book = rng.standard_normal((30, 6))
+        book[11, 2], book[20, 0], book[25, 4] = np.inf, np.nan, np.nan
+        ys = rng.standard_normal((9, 6))
+        got = _accel.decode_sq(book, 1.2, ys)
+        np.testing.assert_array_equal(got, ref_decode_sq(book, 1.2, ys))
+        np.testing.assert_array_equal(got, 20)
+
     @settings(derandomize=True, max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 9),
@@ -504,3 +516,85 @@ class TestDecodeSqRestricted:
             got, ref_decode_sq_restricted(clouds, 1.0, ys, *cands, cand_of)
         )
         assert np.any(got - cands[0][cand_of] >= _accel._CW_BLOCK)
+
+
+class TestRestrictedRanges:
+    """Both user-2 decoders where a trial's range is shorter than the longest
+    one: positions past it must never pick a codeword outside it.  Some
+    received words copy a codeword just past their trial's range, which a
+    decoder that scored it would pick."""
+
+    @pytest.fixture(params=["map_float", "sq_restricted"])
+    def user2(self, request):
+        """(book of m codewords, noiseless received words of the given
+        codewords, batched decoder, reference decoder) of one kernel."""
+        def make(m, n, seed):
+            rng = np.random.default_rng(seed)
+            if request.param == "map_float":
+                logscore = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
+                book = rng.integers(0, 2, size=(m, n)).astype(np.int8)
+                return (book, lambda idx: book[idx],
+                        partial(_accel.decode_map_float, book, logscore),
+                        partial(ref_decode_map_float, book, logscore))
+            book = rng.standard_normal((m, n))
+            return (book, lambda idx: 0.8 * book[idx],
+                    partial(_accel.decode_sq_restricted, book, 0.8),
+                    partial(ref_decode_sq_restricted, book, 0.8))
+        return make
+
+    def test_last_member_repeats_an_earlier_one(self, chunking, user2):
+        # bin 1 is 3..7, and its last member 7 copies member 4
+        book, send, decode, ref = user2(24, 12, 41)
+        book[7] = book[4]
+        cands = np.array([0, 3, 8, 20]), np.array([3, 5, 12, 4])
+        sent = np.array([4, 7, 3, 8, 8, 3, 20, 12, 23, 0])
+        cand_of = np.array([1, 1, 1, 1, 0, 0, 2, 3, 3, 3])
+        got = decode(send(sent), *cands, cand_of)
+        np.testing.assert_array_equal(got, ref(send(sent), *cands, cand_of))
+        np.testing.assert_array_equal(got[:3], [4, 4, 3])
+        assert np.all((got >= cands[0][cand_of]) & (got < cands[0][cand_of] + cands[1][cand_of]))
+
+    def test_range_longer_than_a_block_shares_tiles_with_one_member(self, chunking, user2):
+        # one-member bins around a bin of _CW_BLOCK + 3: trials of both kinds
+        # alternate, so they share every chunk of trials
+        size = _accel._CW_BLOCK + 3
+        book, send, decode, ref = user2(size + 2, 20, 42)
+        cands = np.array([0, 1, size + 1]), np.array([1, size, 1])
+        cand_of = np.tile([0, 1, 2, 1], 10)
+        # bin 0 gets the long bin's first member, bin 2 its last, and the
+        # long bin itself members spread over it, its last among them
+        sent = np.where(cand_of == 1, 1 + np.arange(40) * (size // 40), 1)
+        sent[2::4] = sent[3::4] = size
+        got = decode(send(sent), *cands, cand_of)
+        np.testing.assert_array_equal(got, ref(send(sent), *cands, cand_of))
+        np.testing.assert_array_equal(got[cand_of != 1], cands[0][cand_of[cand_of != 1]])
+        assert np.any(got[cand_of == 1] - 1 >= _accel._CW_BLOCK)
+
+    def test_empty_range_inside_the_codebook_picks_its_start(self, chunking, user2):
+        # bin 1 holds no codeword but starts at codeword 4, the first of bin 2;
+        # the references cannot search it, so its trials are checked alone
+        book, send, decode, ref = user2(12, 10, 43)
+        cands = np.array([0, 4, 4, 9]), np.array([4, 0, 5, 3])
+        sent = np.array([6, 1, 6, 8, 5, 10, 4])
+        cand_of = np.array([1, 0, 2, 1, 2, 3, 1])
+        got = decode(send(sent), *cands, cand_of)
+        empty = cand_of == 1
+        np.testing.assert_array_equal(got[empty], 4)
+        np.testing.assert_array_equal(
+            got[~empty], ref(send(sent[~empty]), *cands, cand_of[~empty])
+        )
+
+    def test_nan_member_before_a_finite_last_member(self, chunking):
+        # bin 0's first member scores NaN and wins, as in numpy's argmin, in
+        # every block after it too; bin 1 is long, so bin 0 has positions past it
+        rng = np.random.default_rng(44)
+        book = rng.standard_normal((14, 4))
+        book[0, 1] = np.nan
+        cands = np.array([0, 2]), np.array([2, 12])
+        ys = book[[1, 1, 5]]
+        cand_of = np.array([0, 0, 1])
+        got = _accel.decode_sq_restricted(book, 1.0, ys, *cands, cand_of)
+        np.testing.assert_array_equal(got, [0, 0, 5])
+        np.testing.assert_array_equal(
+            got, ref_decode_sq_restricted(book, 1.0, ys, *cands, cand_of)
+        )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -301,6 +302,26 @@ class TestOracleCompare:
         code = run(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
                     "--steps", 20, "--u-size", 2, "--budget", 1e-6, "--out", tmp_path])
         assert code == 1
+
+    def test_huge_u_size_refused_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        err = assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                                   "--u-size", 10**8, "--out", tmp_path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert "over the budget" in err
+
+    def test_u_size_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
+        assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                             "--u-size", 10**400, "--out", tmp_path], capsys)
+
+    def test_bad_grid_refused_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the grid oracle ran")
+
+        monkeypatch.setattr(oracle, "oracle_both", no_scan)
+        err = assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                                   "--grid", 1, "--out", tmp_path], capsys)
+        assert "grid_size must be >= 2" in err
 
     def test_deviation_decreases(self, tmp_path, capsys):
         devs = []

@@ -8,7 +8,7 @@ import pytest
 
 from coopbc.becbsc import BecBscBC
 from coopbc.channel import AuxiliaryJoint
-from coopbc import dnfsim
+from coopbc import dnfsim, numerics
 from coopbc.dnfsim import (
     BudgetExceededError,
     CodeConfig,
@@ -415,7 +415,7 @@ class TestSimulate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was made")
 
-        monkeypatch.setattr(dnfsim, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", no_pool)
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=8, input_law=UNIFORM_LAW)
         with pytest.raises(ValueError, match="threads must be <= 256"):
             simulate(cfg, BecBscBC(0.1, 0.2), 10, threads=10**6)

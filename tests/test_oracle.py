@@ -1,12 +1,13 @@
 import itertools
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from coopbc import oracle
+from coopbc import numerics, oracle
 from coopbc.becbsc import BecBscBC, becbsc_family
 from coopbc.channel import (
     AuxiliaryJoint,
@@ -90,6 +91,24 @@ class TestGridSpec:
         spec = GridSpec(steps=200, u_cardinality=3)
         with pytest.raises(BudgetExceededError):
             oracle_both(PAIR, 0.0, spec)
+
+    def test_huge_u_refused_at_once(self):
+        # the exact count of this grid, 2**(7.65e8), has 230 million digits
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"2\*\*7\.65\d+e\+08 joints, over the budget"):
+            oracle_both(PAIR, 0.2, GridSpec(steps=200, u_cardinality=10**8))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_exact_count_decides_at_the_budget(self, monkeypatch, spare):
+        spec = GridSpec(steps=10, u_cardinality=2)
+        monkeypatch.setattr(oracle, "EVAL_BUDGET", evaluation_count(PAIR, spec) + spare)
+        if spare < 0:
+            with pytest.raises(BudgetExceededError, match="over the budget of 1330"):
+                oracle_both(PAIR, 0.2, spec)
+        else:
+            assert len(oracle_both(PAIR, 0.2, spec)[0]) > 0
 
 
 class TestConstantU:
@@ -336,7 +355,7 @@ def test_threads_above_the_ceiling_rejected_before_any_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="threads must be <= 256"):
         oracle_both(PAIR, 0.2, GridSpec(steps=4, u_cardinality=2), threads=10**6)
 
