@@ -74,6 +74,12 @@ def _pick(costs):
     return j, np.take_along_axis(costs, j[:, None], axis=1)[:, 0]
 
 
+def check_map_int_blocklength(n: int) -> None:
+    """decode_map_int's float32 scores are exact for blocklengths up to 2**24."""
+    if n > _F32_EXACT:
+        raise ValueError(f"blocklength {n} exceeds 2**24; float32 scores would round")
+
+
 def decode_map_int(codebook, ys):
     """Index of the first codeword with the fewest mismatches on unerased positions.
 
@@ -86,8 +92,7 @@ def decode_map_int(codebook, ys):
     GEMM is exact in any summation order and any number of BLAS threads.
     """
     n_cw, n = codebook.shape
-    if n > _F32_EXACT:
-        raise ValueError(f"blocklength {n} exceeds 2**24; float32 scores would round")
+    check_map_int_blocklength(n)
     bits = np.ascontiguousarray(codebook.T, dtype=np.float32)  # (n, M)
     weights = np.array([1.0, -1.0, 0.0], dtype=np.float32)[ys]  # (T, n): w(y)
     return _first_min(ys.shape[0], n_cw, lambda sl, b, e: _pick(weights[sl] @ bits[:, b:e]), 4)

@@ -54,17 +54,6 @@ def _emit_boundary(path: Path, boundary, fmt: str) -> Path:
     return path
 
 
-def _distinct_r1(front: regions.RateRegionBoundary) -> regions.RateRegionBoundary:
-    """The frontier with only the first row of each run of rows whose r1 has
-    one exported (12-digit) text.  Grid corners can differ in r1 by a few
-    ulps; written as they are, they would not read back as a frontier."""
-    text = ["%.12g" % v for v in front.r1.tolist()]
-    keep = [i for i in range(len(text)) if i == 0 or text[i] != text[i - 1]]
-    return regions.RateRegionBoundary(
-        front.r1[keep], front.r2[keep], front.alpha[keep], front.segment[keep]
-    )
-
-
 def cmd_region(args) -> int:
     base, tol = LogBase(args.base), Tolerance(abs_tol=args.tol)
     bc = FAMILIES[args.family](*args.params)
@@ -157,7 +146,7 @@ def cmd_oracle_compare(args) -> int:
     sides = ("inner", "outer")
     out = Path(args.out)
     for side, grid_front, param in zip(sides, found, params):
-        _emit_boundary(out / f"oracle_{side}", _distinct_r1(grid_front), args.format)
+        _emit_boundary(out / f"oracle_{side}", grid_front, args.format)
         _emit_boundary(out / f"parametric_{side}", param, args.format)
     meta = {
         "u_cardinality": spec.u_cardinality,

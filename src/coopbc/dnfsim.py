@@ -232,11 +232,12 @@ def simulate(
     counts mismatches on unerased positions (exact ties, first-index
     tie-break); Gaussian decoding uses squared distance.
 
-    The family is decided once: its input law is checked before the codebook
-    is drawn, and after the shared trial draw one branch per family forms
-    both received words and binds its two decoders; the decode-and-forward
-    loop below is shared.  The channel pair need not be ordered: either
-    receiver may be the stronger one.
+    The family is decided once: its input law, and the erasure decoder's
+    limit on the blocklength, are checked before the codebook is drawn, and
+    after the shared trial draw one branch per family forms both received
+    words and binds its two decoders; the decode-and-forward loop below is
+    shared.  The channel pair need not be ordered: either receiver may be
+    the stronger one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -250,6 +251,8 @@ def simulate(
         raise ValueError("the erasure/flip family expects a binary input alphabet")
     if gaussian and cfg.input_law is not None:
         raise ValueError("Gaussian channels require a power-split input law")
+    if not gaussian:
+        _accel.check_map_int_blocklength(cfg.n)
     book = build_superposition_codebook(cfg)
     nu2 = cfg.nu2
     sat_flat = book.satellites.reshape(cfg.nu1 * nu2, cfg.n)

@@ -67,6 +67,10 @@ class GridSpec:
             raise ValueError(f"u_cardinality must be >= 1, got {self.u_cardinality}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        # the joint count is first estimated in floats: refuse sizes no float holds exactly
+        for name, value in (("u_cardinality", self.u_cardinality), ("steps", self.steps)):
+            if value > 2**53:
+                raise ValueError(f"{name} must be <= 2**53")
 
 
 def evaluation_count(pair: ChannelPair, spec: GridSpec) -> int:

@@ -367,6 +367,8 @@ def _fmt(x: float) -> str:
 # bounds the Python floats and strings alive at once on long oracle frontiers.
 # "%.12g" % x is the same text as _fmt(x), and faster.
 _BLOCK_ROWS = 4096
+# two values with one 12-digit text lie within 1e-11 of the larger magnitude
+_NEAR_TEXT = 2e-11
 _CSV_ROW = "%.12g,%.12g,%.12g,%s\n"
 _JSON_POINT = (
     '    {\n      "alpha": %s,\n      "r1": %s,\n      "r2": %s,\n      "segment": %s\n    }'
@@ -375,10 +377,16 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _row_blocks(boundary: RateRegionBoundary):
-    """(alpha, r1, r2, segment) slices of at most _BLOCK_ROWS rows, in order."""
-    for start in range(0, len(boundary), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        yield boundary.alpha[rows], boundary.r1[rows], boundary.r2[rows], boundary.segment[rows]
+    """(alpha, r1, r2, segment) slices of at most _BLOCK_ROWS rows, in order,
+    without each row whose r1 has the 12-digit text of the row before it, so
+    the file reads back; a run's first row has its largest r2.  Only
+    neighbours within _NEAR_TEXT of each other are formatted to decide."""
+    r1 = boundary.r1
+    near = np.flatnonzero(np.diff(r1) <= _NEAR_TEXT * np.maximum(abs(r1[:-1]), abs(r1[1:])))
+    drop = [i + 1 for i in near.tolist() if "%.12g" % r1[i] == "%.12g" % r1[i + 1]]
+    columns = [np.delete(c, drop) for c in (boundary.alpha, r1, boundary.r2, boundary.segment)]
+    for start in range(0, columns[1].size, _BLOCK_ROWS):
+        yield tuple(c[start:start + _BLOCK_ROWS] for c in columns)
 
 
 def boundary_to_csv(boundary: RateRegionBoundary) -> str:

@@ -178,6 +178,11 @@ class TestDecodeMapInt:
         np.testing.assert_array_equal(got[:2], [10, block + 7])
         np.testing.assert_array_equal(got, ref_decode_map_int(book, ys))
 
+    def test_blocklength_guard_at_float32_exactness(self):
+        _accel.check_map_int_blocklength(1 << 24)
+        with pytest.raises(ValueError, match="blocklength 16777217 exceeds 2\\*\\*24"):
+            _accel.check_map_int_blocklength((1 << 24) + 1)
+
     def test_rejects_blocklengths_beyond_float32_exactness(self):
         # read-only broadcast views: the guard must fire before any allocation
         n = (1 << 24) + 1

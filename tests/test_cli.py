@@ -310,9 +310,22 @@ class TestOracleCompare:
         assert time.perf_counter() - start < 1.0
         assert "over the budget" in err
 
-    def test_u_size_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
-        assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
-                             "--u-size", 10**400, "--out", tmp_path], capsys)
+    @pytest.mark.parametrize("flag, name", [("--steps", "steps"), ("--u-size", "u_cardinality")])
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_sizes_past_exact_floats_are_invalid_input(self, tmp_path, capsys, flag, name,
+                                                       value):
+        err = assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                                   flag, value, "--out", tmp_path / "out"], capsys)
+        assert f"{name} must be <= 2**53" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--steps", "--u-size"])
+    def test_largest_sizes_reach_the_budget_refusal(self, tmp_path, capsys, flag):
+        start = time.perf_counter()
+        err = assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                                   flag, 2**53, "--out", tmp_path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert "over the budget" in err
 
     def test_bad_grid_refused_before_the_scan(self, tmp_path, capsys, monkeypatch):
         def no_scan(*args, **kwargs):
@@ -684,6 +697,19 @@ class TestFailureContract:
                 "--r1", 0, "--r2", 0, "--c12", 0, "--trials", 1, "--power-split", 0.5,
                 "--out", tmp_path / "out"]
         assert "blocklength must be <= 2**53" in assert_clean_exit_2(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_erasure_blocklength_past_float32_exactness(self, tmp_path, capsys, monkeypatch):
+        def no_draw(cfg):
+            raise AssertionError("the codebook was drawn")
+
+        monkeypatch.setattr("coopbc.dnfsim.build_superposition_codebook", no_draw)
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"u_size": 1, "p_u": [1.0], "p_x_given_u": [[0.5, 0.5]]}))
+        argv = ["simulate", "--channel", "becbsc", "--params", 0.1, 0.2, "--n", 2**24 + 1,
+                "--r1", 0, "--r2", 0, "--c12", 0, "--trials", 1, "--input-law", law,
+                "--out", tmp_path / "out"]
+        assert "exceeds 2**24" in assert_clean_exit_2(argv, capsys)
         assert not (tmp_path / "out").exists()
 
     def test_region_prints_nothing_on_invalid_grid(self, tmp_path, capsys):

@@ -405,6 +405,18 @@ class TestSimulate:
             simulate(cfg, channels, 5)
         assert drawn == []
 
+    @pytest.mark.parametrize("n, drawn", [(2**24 + 1, False), (2**24, True)])
+    def test_erasure_blocklength_checked_before_the_draw(self, monkeypatch, n, drawn):
+        # one trial at n = 2**24 + 1 would draw about 268 MB before the decoder refused it
+        def no_draw(cfg):
+            raise AssertionError("the codebook was drawn")
+
+        monkeypatch.setattr(dnfsim, "build_superposition_codebook", no_draw)
+        cfg = CodeConfig(n=n, r1=0.0, r2=0.0, c12=0.0, seed=0, input_law=UNIFORM_LAW)
+        error, message = (AssertionError, "drawn") if drawn else (ValueError, "2\\*\\*24")
+        with pytest.raises(error, match=message):
+            simulate(cfg, BecBscBC(0.1, 0.2), 1)
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
         cfg = CodeConfig(n=8, r1=0.2, r2=0.2, c12=0.2, seed=8, input_law=UNIFORM_LAW)

@@ -100,6 +100,20 @@ class TestGridSpec:
             oracle_both(PAIR, 0.2, GridSpec(steps=200, u_cardinality=10**8))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("field", ["steps", "u_cardinality"])
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_sizes_past_exact_floats_rejected(self, field, value):
+        # 10**400 is past the float range: math.lgamma used to raise OverflowError
+        with pytest.raises(ValueError, match=f"{field} must be <= 2\\*\\*53"):
+            GridSpec(**{"steps": 200, "u_cardinality": 2, field: value})
+
+    @pytest.mark.parametrize("field", ["steps", "u_cardinality"])
+    def test_largest_sizes_reach_the_budget_refusal(self, field):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="over the budget"):
+            oracle_both(PAIR, 0.2, GridSpec(**{"steps": 200, "u_cardinality": 2, field: 2**53}))
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("spare", [0, -1])
     def test_exact_count_decides_at_the_budget(self, monkeypatch, spare):
         spec = GridSpec(steps=10, u_cardinality=2)

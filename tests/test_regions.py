@@ -511,9 +511,19 @@ def ref_boundary_to_json(boundary):
     return json.dumps({"points": points}, indent=2) + "\n"
 
 
+def ref_distinct_r1(boundary):
+    """The frontier without each row whose r1 has the 12-digit text of the row
+    before it, by a plain loop over the texts."""
+    text = [f"{v:.12g}" for v in boundary.r1.tolist()]
+    keep = [i for i in range(len(text)) if i == 0 or text[i] != text[i - 1]]
+    return RateRegionBoundary(boundary.r1[keep], boundary.r2[keep], boundary.alpha[keep],
+                              boundary.segment[keep])
+
+
 def assert_writers_match(boundary):
-    assert boundary_to_csv(boundary) == ref_boundary_to_csv(boundary)
-    assert boundary_to_json(boundary) == ref_boundary_to_json(boundary)
+    distinct = ref_distinct_r1(boundary)
+    assert boundary_to_csv(boundary) == ref_boundary_to_csv(distinct)
+    assert boundary_to_json(boundary) == ref_boundary_to_json(distinct)
 
 
 SPECIAL_VALUES = [1.0, 1e-05, 5e-324, 123456789.0]
@@ -566,6 +576,73 @@ class TestColumnWriters:
     def test_family_frontiers(self, name, fam):
         assert_writers_match(inner_boundary(fam, 2001))
         assert_writers_match(outer_boundary(fam, 2001))
+
+
+# relative steps between neighbouring r1 values: None is 1 to 3 ulps; a step
+# up to 1e-11 may or may not keep the 12-digit text, a larger one never does
+CHAIN_STEPS = [None, 2e-13, 3e-12, 8e-12, 1.2e-11, 5e-11, 1e-3]
+
+
+@st.composite
+def near_chains(draw):
+    """Frontiers whose r1 climbs in steps near the 12-digit resolution."""
+    x = draw(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.1, 1.0, 1e-300, 9.9999999999e5])))
+    r1 = [x]
+    for _ in range(draw(st.integers(1, 40))):
+        step = draw(st.sampled_from(CHAIN_STEPS))
+        if step is None:
+            for _ in range(draw(st.integers(1, 3))):
+                x = float(np.nextafter(x, np.inf))
+        else:
+            x = max(float(np.nextafter(x, np.inf)), x + step * abs(x))
+        r1.append(x)
+    n = len(r1)
+    segment = draw(st.lists(st.sampled_from([SEGMENT_PROVEN, SEGMENT_CONJECTURED]),
+                            min_size=n, max_size=n))
+    return RateRegionBoundary(r1, np.linspace(1.0, 0.0, n), np.linspace(0.0, 2.0, n),
+                              np.array(segment))
+
+
+def assert_reads_back(boundary):
+    for write, read in ((boundary_to_csv, boundary_from_csv),
+                        (boundary_to_json, boundary_from_json)):
+        text = write(boundary)
+        assert write(read(text)) == text
+
+
+class TestRepeatedTexts:
+    """The writers leave out each row whose r1 has the 12-digit text of the
+    row before it, so every frontier they write reads back."""
+
+    def test_runs_of_two_and_three(self):
+        r1 = [0.1, 0.1 + 2e-13, 0.2, 0.3, 0.3 + 1e-13, 0.3 + 4e-13, 0.4]
+        boundary = RateRegionBoundary(r1, np.linspace(1.0, 0.0, 7), np.arange(7.0),
+                                      np.full(7, SEGMENT_PROVEN))
+        assert_writers_match(boundary)
+        assert_reads_back(boundary)
+        for write, read in ((boundary_to_csv, boundary_from_csv),
+                            (boundary_to_json, boundary_from_json)):
+            again = read(write(boundary))
+            np.testing.assert_array_equal(again.alpha, [0.0, 2.0, 3.0, 6.0])
+            np.testing.assert_array_equal(again.r1, [0.1, 0.2, 0.3, 0.4])
+
+    def test_run_across_a_block_edge(self):
+        n = 2 * _BLOCK_ROWS
+        r1 = np.linspace(0.0, 1.0, n)
+        edge = r1[_BLOCK_ROWS - 1]
+        r1[_BLOCK_ROWS] = np.nextafter(edge, 2.0)
+        r1[_BLOCK_ROWS + 1] = np.nextafter(r1[_BLOCK_ROWS], 2.0)
+        boundary = RateRegionBoundary(r1, 1.0 - r1, r1 / 3.0, np.full(n, SEGMENT_PROVEN))
+        assert_writers_match(boundary)
+        assert_reads_back(boundary)
+        again = boundary_from_csv(boundary_to_csv(boundary))
+        assert len(again) == n - 2 and again.r1[_BLOCK_ROWS - 1] == float(f"{edge:.12g}")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(near_chains())
+    def test_near_chains_match_the_plain_loop(self, boundary):
+        assert_writers_match(boundary)
+        assert_reads_back(boundary)
 
 
 class TestExports:
