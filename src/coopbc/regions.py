@@ -390,7 +390,8 @@ def _row_blocks(boundary: RateRegionBoundary):
 
 
 def boundary_to_csv(boundary: RateRegionBoundary) -> str:
-    """CSV frontier export: header alpha,r1,r2,segment, LF endings, 12 digits."""
+    """CSV frontier export: header alpha,r1,r2,segment, LF endings, 12 digits,
+    one row per 12-digit r1 text (see _row_blocks)."""
     parts = ["alpha,r1,r2,segment\n"]
     for alpha, r1, r2, seg in _row_blocks(boundary):
         rows = zip(alpha.tolist(), r1.tolist(), r2.tolist(), seg.tolist())
@@ -442,7 +443,8 @@ def _json_numbers(column: np.ndarray) -> list[str]:
 
 def boundary_to_json(boundary: RateRegionBoundary) -> str:
     """JSON frontier export: the text of ``json.dumps({"points": [...]}, indent=2)``
-    with each point's alpha, r1 and r2 rounded to 12 digits."""
+    with each point's alpha, r1 and r2 rounded to 12 digits, one point per
+    12-digit r1 text (see _row_blocks)."""
     blocks = []
     for alpha, r1, r2, seg in _row_blocks(boundary):
         seg = seg.tolist()

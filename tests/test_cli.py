@@ -310,6 +310,10 @@ class TestOracleCompare:
         assert time.perf_counter() - start < 1.0
         assert "over the budget" in err
 
+    def test_u_size_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
+        assert_clean_exit_2(["oracle-compare", "becbsc", 0.1, 0.2, "--c12", 0.2,
+                             "--u-size", 10**400, "--out", tmp_path], capsys)
+
     @pytest.mark.parametrize("flag, name", [("--steps", "steps"), ("--u-size", "u_cardinality")])
     @pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
     def test_sizes_past_exact_floats_are_invalid_input(self, tmp_path, capsys, flag, name,
